@@ -1,24 +1,32 @@
 """Certificate cache.
 
-One JSON file per block section keyed by (p, n, r) plus per-spec assembled
-certificates.  The cache is advisory: deleting it never changes verdicts,
-only how long the next section construction takes.  Loads are re-verified in
-sampled mode as a cheap tamper check.
+One JSON file per searched block section, keyed by (p, n, r); elementary and
+rank-1 blocks have closed-form sections and are never stored.  The cache is
+advisory: deleting it never changes verdicts, only how long the next section
+construction takes.  Every load runs the complete section proof
+(`verify_section`).  An entry that cannot be read, parsed or proved for its
+block counts as a miss: a one-line warning goes to stderr, and the caller
+searches the block again and rewrites the entry.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import sys
 from pathlib import Path
 
-from .errors import VerificationFailed
-from .groups import PGroupSpec
-from .splitting import SectionCertificate, verify_section
+from .errors import AutSplitError, VerificationFailed
+from .groups import validate_spec
+from .splitting import SectionCertificate, VerificationReport, verify_section
+
+#: What reading, parsing or proving an untrusted cache file can raise.
+_BAD_ENTRY = (OSError, ValueError, KeyError, TypeError, IndexError,
+              AutSplitError)
 
 
-def _spec_slug(spec: PGroupSpec) -> str:
-    body = "-".join(f"b{n}x{r}" for n, r in spec.blocks)
-    return f"spec-p{spec.p}-{body}"
+def _read(path: Path) -> SectionCertificate:
+    return SectionCertificate.from_json(json.loads(path.read_text()))
 
 
 class CertificateCache:
@@ -28,40 +36,37 @@ class CertificateCache:
     def _block_path(self, p: int, n: int, r: int) -> Path:
         return self.directory / f"block-p{p}-n{n}-r{r}.json"
 
-    def _spec_path(self, spec: PGroupSpec) -> Path:
-        return self.directory / f"{_spec_slug(spec)}.json"
+    def load_block(self, p: int, n: int, r: int
+                   ) -> tuple[SectionCertificate, VerificationReport] | None:
+        """The cached certificate for block (p, n, r) and its fresh proof.
 
-    def load_block(self, p: int, n: int, r: int,
-                   recheck: bool = True) -> SectionCertificate | None:
+        None on a miss: no entry, or one that fails to read, parse or prove.
+        """
         path = self._block_path(p, n, r)
         if not path.exists():
             return None
-        cert = SectionCertificate.from_json(json.loads(path.read_text()))
-        if recheck:
-            verify_section(cert, mode="sampled", sample_pairs=256)
-        return cert
+        try:
+            cert = _read(path)
+            if cert.spec != validate_spec(p, [(n, r)]):
+                raise VerificationFailed(
+                    f"certificate is for {cert.spec.describe()}")
+            return cert, verify_section(cert)
+        except _BAD_ENTRY as exc:
+            print(f"warning: ignoring cache entry {path.name}: "
+                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            return None
 
     def store_block(self, p: int, n: int, r: int,
                     cert: SectionCertificate) -> Path:
+        """Write the entry atomically: a temporary file, then a rename."""
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._block_path(p, n, r)
-        path.write_text(json.dumps(cert.to_json(), sort_keys=True, indent=1))
-        return path
-
-    def load_spec(self, spec: PGroupSpec,
-                  recheck: bool = True) -> SectionCertificate | None:
-        path = self._spec_path(spec)
-        if not path.exists():
-            return None
-        cert = SectionCertificate.from_json(json.loads(path.read_text()))
-        if recheck:
-            verify_section(cert, mode="sampled", sample_pairs=256)
-        return cert
-
-    def store_spec(self, cert: SectionCertificate) -> Path:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self._spec_path(cert.spec)
-        path.write_text(json.dumps(cert.to_json(), sort_keys=True, indent=1))
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(cert.to_json(), sort_keys=True, indent=1))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
         return path
 
     def entries(self) -> list[Path]:
@@ -74,10 +79,9 @@ class CertificateCache:
         rows = []
         for path in self.entries():
             try:
-                cert = SectionCertificate.from_json(json.loads(path.read_text()))
-                report = verify_section(cert, mode="sampled", sample_pairs=512)
-                rows.append((path.name, True, f"{report.pairs_checked} pairs"))
-            except (VerificationFailed, ValueError, KeyError) as exc:
+                report = verify_section(_read(path))
+                rows.append((path.name, True, f"{report.pairs_checked} edges"))
+            except _BAD_ENTRY as exc:
                 rows.append((path.name, False, str(exc)))
         return rows
 

@@ -6,6 +6,11 @@ exhaustion, 4 for a failed verification (a bug signal), 5 when a section is
 requested for a group whose classifier verdict is not Splits.  Every flag
 can also be set through an AUTSPLIT_-prefixed environment variable; flags
 win.
+
+Every section certificate that `section` prints, and every `batch` row that
+reports `SectionVerified`, has passed the complete Cayley-edge proof of
+`splitting.verify_section`.  A cache entry that cannot be read or proved is
+a miss, reported on stderr, never an error.
 """
 
 from __future__ import annotations
@@ -103,16 +108,13 @@ def cmd_classify(prime, blocks, spec_file) -> None:
 
 @main.command("section")
 @_spec_options
-@click.option("--verify-mode", default="auto",
-              type=click.Choice(["auto", "full-table", "generator-relations",
-                                 "sampled"]))
 @click.option("--cache-dir", type=click.Path(), default=None)
 @click.option("--seed", type=int, default=0)
 @click.option("--budget-assignments", type=int,
               default=_oracle.DEFAULT_ASSIGNMENT_BUDGET)
 @click.option("-o", "--output", type=click.Path(), default=None,
               help="Also write the certificate JSON to this file.")
-def cmd_section(prime, blocks, spec_file, verify_mode, cache_dir, seed,
+def cmd_section(prime, blocks, spec_file, cache_dir, seed,
                 budget_assignments, output) -> None:
     """Construct and verify an explicit section; print the certificate."""
     try:
@@ -127,8 +129,7 @@ def cmd_section(prime, blocks, spec_file, verify_mode, cache_dir, seed,
     cache = CertificateCache(cache_dir) if cache_dir else None
     try:
         cert, report = build_verified_section(
-            spec, mode=verify_mode, seed=seed,
-            oracle_budget=budget_assignments, cache=cache)
+            spec, seed=seed, oracle_budget=budget_assignments, cache=cache)
     except (BudgetExceeded, OracleBudgetExceeded) as exc:
         click.echo(f"budget exceeded: {exc}", err=True)
         sys.exit(EXIT_BUDGET)
@@ -139,8 +140,6 @@ def cmd_section(prime, blocks, spec_file, verify_mode, cache_dir, seed,
         click.echo(f"no section: {exc}", err=True)
         sys.exit(EXIT_NOT_SPLIT)
     payload = cert.to_json()
-    if cache is not None:
-        cache.store_spec(cert)
     if output:
         with open(output, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=1)
@@ -250,9 +249,8 @@ def _oracle_cross_check(spec: PGroupSpec, outcome: str, seed: int,
         if pi_order(spec) > 5000:
             return None, None
         try:
-            build_verified_section(
-                spec, mode="auto", seed=seed,
-                oracle_budget=budget_assignments, full_table_limit=256)
+            build_verified_section(spec, seed=seed,
+                                   oracle_budget=budget_assignments)
             return "SectionVerified", True
         except (BudgetExceeded, OracleBudgetExceeded):
             return None, None

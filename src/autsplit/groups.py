@@ -135,12 +135,6 @@ def check_element(spec: PGroupSpec, a: GroupElement) -> None:
             raise ShapeMismatch(f"block vector has length {len(vec)}, expected {r}")
 
 
-def canonicalize_element(spec: PGroupSpec, a) -> GroupElement:
-    a = tuple(tuple(int(x) % m for x in vec) for vec, m in zip(a, spec.moduli))
-    check_element(spec, a)
-    return a
-
-
 def add_elements(spec: PGroupSpec, a: GroupElement, b: GroupElement) -> GroupElement:
     """Coordinatewise sum, block i reduced mod p^n_i."""
     check_element(spec, a)

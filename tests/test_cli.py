@@ -12,7 +12,11 @@ from autsplit.cli import (
     main,
 )
 from autsplit.groups import delta_order, validate_spec
-from autsplit.splitting import SectionCertificate, verify_section
+from autsplit.splitting import (
+    SectionCertificate,
+    build_verified_section,
+    verify_section,
+)
 
 
 @pytest.fixture
@@ -52,6 +56,13 @@ class TestClassify:
         assert res.exit_code == EXIT_INVALID
 
 
+def _tamper_first_image(text):
+    """Change one entry mod p, so the image no longer reduces to its generator."""
+    obj = json.loads(text)
+    obj["images"][0]["cells"][0][0][0][0] += 1
+    return json.dumps(obj)
+
+
 class TestSection:
     def test_certificate_output(self, runner, tmp_path):
         out = tmp_path / "cert.json"
@@ -82,6 +93,31 @@ class TestSection:
         # second run loads the cached block section
         res2 = runner.invoke(main, args)
         assert res2.exit_code == 0
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: text[:len(text) // 2],
+        lambda text: "not json",
+        _tamper_first_image,
+        # a proved certificate, but for another block
+        lambda text: json.dumps(build_verified_section(
+            validate_spec(2, [(1, 2)]))[0].to_json()),
+    ], ids=["truncated", "not-json", "fails-proof", "other-block"])
+    def test_bad_cache_entry_is_a_miss(self, runner, tmp_path, corrupt):
+        cache = tmp_path / "cache"
+        args = ["section", "-p", "2", "-b", "2:2", "--cache-dir", str(cache)]
+        assert runner.invoke(main, args).exit_code == 0
+        entry = cache / "block-p2-n2-r2.json"
+        good = entry.read_text()
+        bad = corrupt(good)
+        assert bad != good
+        entry.write_text(bad)
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0
+        assert res.stderr.count("warning: ignoring cache entry") == 1
+        cert = SectionCertificate.from_json(json.loads(entry.read_text()))
+        assert cert.spec == validate_spec(2, [(2, 2)])
+        assert verify_section(cert).ok
+        assert [p.name for p in cache.iterdir()] == [entry.name]
 
 
 class TestOracleCommands:
@@ -194,12 +230,12 @@ class TestBatch:
 class TestCache:
     def test_list_verify_clear(self, runner, tmp_path):
         cache = tmp_path / "cache"
-        res = runner.invoke(main, ["section", "-p", "5", "-b", "2:1",
+        res = runner.invoke(main, ["section", "-p", "2", "-b", "2:2",
                                    "--cache-dir", str(cache)])
         assert res.exit_code == 0
         res = runner.invoke(main, ["cache", "--cache-dir", str(cache), "list"])
         assert res.exit_code == 0
-        assert ".json" in res.output
+        assert "block-p2-n2-r2.json" in res.output
         res = runner.invoke(main, ["cache", "--cache-dir", str(cache),
                                    "verify"])
         assert res.exit_code == 0

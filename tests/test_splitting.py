@@ -1,14 +1,16 @@
 """Classifier and section machinery."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autsplit.endo import block_endo, compose, q_mul, sigma
+from autsplit.endo import block_endo, compose, sigma
 from autsplit.errors import NotSplitBlock, VerificationFailed
 from autsplit.groups import pi_order, validate_spec
+from autsplit.oracle import random_delta_element
 from autsplit.splitting import (
     SectionCertificate,
     assemble_section,
@@ -142,11 +144,38 @@ class TestCertificates:
         assert report.pairs_checked == pi_order(spec) ** 2
         assert cert.verification["mode"] == "full-table"
 
-    def test_verify_modes_agree(self):
-        spec = validate_spec(5, [(1, 1), (2, 1)])
-        cert, _ = build_verified_section(spec, mode="full-table")
-        assert verify_section(cert, mode="generator-relations").ok
-        assert verify_section(cert, mode="sampled", sample_pairs=500).ok
+    @pytest.mark.parametrize("p,blocks", [
+        (3, [(2, 2)]), (2, [(2, 2)]), (2, [(2, 3)]), (5, [(2, 1)]),
+        (5, [(1, 1), (2, 1)]), (2, [(1, 2), (2, 2)]),
+    ])
+    def test_edge_proof_agrees_with_full_table(self, p, blocks):
+        # the edge proof must reject exactly the certificates that the
+        # |Q|^2 reference rejects; multiplying one image by a Delta element
+        # keeps every reduction and sometimes still gives a section
+        spec = validate_spec(p, blocks)
+        cert, report = build_verified_section(spec)
+        assert report.mode == "cayley-edges"
+        assert report.pairs_checked == pi_order(spec) * len(cert.generators)
+
+        def passes(c, **kw):
+            try:
+                return verify_section(c, **kw).ok
+            except VerificationFailed:
+                return False
+
+        rng = random.Random(0)
+        certs = [cert]
+        for i in range(len(cert.images)):
+            for _ in range(3):
+                images = list(cert.images)
+                images[i] = compose(images[i], random_delta_element(spec, rng))
+                certs.append(replace(cert, images=tuple(images)))
+        verdicts = [(passes(c), passes(c, mode="full-table",
+                                       full_table_limit=50_000))
+                    for c in certs]
+        assert all(edges == full for edges, full in verdicts)
+        assert verdicts[0] == (True, True)
+        assert not all(edges for edges, _ in verdicts)
 
     def test_json_round_trip(self):
         spec = validate_spec(3, [(2, 1)])
@@ -203,14 +232,3 @@ class TestCertificates:
             build_verified_section(validate_spec(5, [(2, 2)]))
         with pytest.raises(NotSplitBlock):
             build_verified_section(validate_spec(3, [(1, 1), (2, 3)]))
-
-    def test_section_is_homomorphic_sample(self):
-        spec = validate_spec(2, [(1, 2), (2, 2)])
-        cert, report = build_verified_section(spec, mode="sampled")
-        assert report.ok
-        table = section_table(cert)
-        rng = random.Random(0)
-        keys = list(table)
-        for _ in range(200):
-            q1, q2 = rng.choice(keys), rng.choice(keys)
-            assert compose(table[q1], table[q2]) == table[q_mul(q1, q2)]
