@@ -34,15 +34,32 @@ DEFAULT_DELTA_BUDGET = 2 ** 16
 GroupElement = tuple[tuple[int, ...], ...]
 
 
+#: Miller-Rabin with the first 13 prime bases is exact below this bound.
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(p: int) -> bool:
-    # trial division; p is tiny in practice
+    """Deterministic Miller-Rabin; exact for p < PRIME_TEST_BOUND."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -82,11 +99,20 @@ class PGroupSpec:
 def validate_spec(p: int, blocks) -> PGroupSpec:
     """Validate raw input and build a PGroupSpec.
 
-    Raises NonPrime, EmptyBlocks, ZeroRank or NonIncreasingExponents.
+    p, n and r must be ints (a bool is not); anything else is a SpecError,
+    never coerced.  Raises NonPrime, EmptyBlocks, ZeroRank or
+    NonIncreasingExponents, and SpecError for p >= PRIME_TEST_BOUND.
     """
-    if not isinstance(p, int) or not _is_prime(p):
+    blocks = tuple((n, r) for n, r in blocks)
+    named = [("p", p)] + [x for n, r in blocks for x in (("n", n), ("r", r))]
+    for name, value in named:
+        if type(value) is not int:  # also rejects bool
+            raise SpecError(f"{name} = {value!r} is not an integer")
+    if p >= PRIME_TEST_BOUND:
+        raise SpecError(f"p = {p} is past the primality test's bound "
+                        f"{PRIME_TEST_BOUND}")
+    if not _is_prime(p):
         raise NonPrime(f"p = {p!r} is not prime")
-    blocks = tuple((int(n), int(r)) for n, r in blocks)
     if not blocks:
         raise EmptyBlocks("at least one block is required")
     for n, r in blocks:

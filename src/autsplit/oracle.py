@@ -3,8 +3,11 @@
 Nothing in this module trusts the closed-form criteria it is used to check:
 bijectivity is decided by applying a map to every group element, kernel
 membership by direct enumeration, and splitting by an exhaustive search over
-generator lifts.  Budgets are explicit and enumeration order is fixed, so
-every run is reproducible.
+generator lifts.  The two proofs that sweep the whole kernel Delta (the
+coset obstruction and the lift search) hold it as one (N, D, D) array and
+apply each operation to all N elements at once; `enumerate_delta` still
+yields them one by one, in the same odometer order.  Budgets are explicit
+and enumeration order is fixed, so every run is reproducible.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .endo import (
 )
 from .errors import (
     BudgetExceeded,
+    NotAUnit,
     Overflow,
     PreconditionViolation,
     RankTooSmall,
@@ -66,21 +70,6 @@ def _element_table(spec: PGroupSpec):
     return table, np.array(mods, dtype=np.int64)
 
 
-def flat_matrix(e: BlockEndo) -> np.ndarray:
-    """The cells pasted into one (total_rank x total_rank) integer matrix."""
-    spec = e.spec
-    D = spec.total_rank
-    out = np.zeros((D, D), dtype=np.int64)
-    oj = 0
-    for j, rj in enumerate(spec.ranks):
-        ok = 0
-        for k, rk in enumerate(spec.ranks):
-            out[oj:oj + rj, ok:ok + rk] = np.array(e.cells[j][k], dtype=np.int64)
-            ok += rk
-        oj += rj
-    return out
-
-
 def brute_force_is_bijective(e: BlockEndo,
                              budget: int = DEFAULT_ELEMENT_BUDGET) -> bool:
     """Apply e to every element; true iff the image has no collisions."""
@@ -89,7 +78,7 @@ def brute_force_is_bijective(e: BlockEndo,
     if order > budget:
         raise BudgetExceeded(f"group order {order} exceeds budget {budget}")
     table, mods = _element_table(spec)
-    img = (table @ flat_matrix(e).T) % mods
+    img = (table @ _flat(e).T) % mods
     weights = np.concatenate(([1], np.cumprod(mods[:-1])))
     packed = img @ weights
     return int(np.unique(packed).size) == order
@@ -185,6 +174,98 @@ def count_bijective_endos(spec: PGroupSpec,
         1 for e in enumerate_endos(spec, budget=endo_budget)
         if brute_force_is_bijective(e, budget=element_budget)
     )
+
+
+# --- the batched kernel: Delta as one (N, D, D) array ---
+#
+# An endomorphism is held flat, as one D x D matrix (D = total rank) with
+# the cells pasted in block order.  Row i of a product A @ B is reduced mod
+# the modulus of the block holding row i; that is cell by cell exactly the
+# reduction `compose` does, so a stack of products is a stack of compositions.
+# Entries lie in [0, p^n_R) and a row sums D products, so int64 is exact
+# while D * (p^n_R - 1)^2 < 2^63; past that the same arrays hold Python ints
+# (dtype=object).
+
+@lru_cache(maxsize=None)
+def _layout(spec: PGroupSpec):
+    """(dtype, per-row moduli as a column, identity) of the flat layout."""
+    D = spec.total_rank
+    dtype = np.int64 if D * (spec.moduli[-1] - 1) ** 2 < 2 ** 63 else object
+    mods = np.array([m for m, r in zip(spec.moduli, spec.ranks)
+                     for _ in range(r)], dtype=dtype)[:, None]
+    ident = np.eye(D, dtype=dtype)
+    mods.flags.writeable = False
+    ident.flags.writeable = False
+    return dtype, mods, ident
+
+
+def _offsets(spec: PGroupSpec) -> list[int]:
+    return list(itertools.accumulate(spec.ranks, initial=0))
+
+
+def _flat(e: BlockEndo) -> np.ndarray:
+    """The cells pasted into one (total_rank x total_rank) matrix."""
+    spec = e.spec
+    off = _offsets(spec)
+    out = np.zeros((spec.total_rank,) * 2, dtype=_layout(spec)[0])
+    for j in range(spec.num_blocks):
+        for k in range(spec.num_blocks):
+            out[off[j]:off[j + 1], off[k]:off[k + 1]] = e.cells[j][k]
+    return out
+
+
+def _unflat(spec: PGroupSpec, rows: list[list[int]]) -> BlockEndo:
+    """The BlockEndo whose flat matrix has these rows (from `.tolist()`)."""
+    off = _offsets(spec)
+    R = spec.num_blocks
+    return BlockEndo(spec=spec, cells=tuple(
+        tuple(
+            tuple(tuple(row[off[k]:off[k + 1]])
+                  for row in rows[off[j]:off[j + 1]])
+            for k in range(R))
+        for j in range(R)))
+
+
+def _bmul(spec: PGroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched composition a after b; stacks broadcast over leading axes."""
+    return np.matmul(a, b) % _layout(spec)[1]
+
+
+def _bpow(spec: PGroupSpec, a: np.ndarray, m: int) -> np.ndarray:
+    """Batched a^m (m >= 0) by square-and-multiply."""
+    result = np.broadcast_to(_layout(spec)[2], a.shape)
+    while m:
+        if m & 1:
+            result = _bmul(spec, result, a)
+        m >>= 1
+        if m:
+            a = _bmul(spec, a, a)
+    return result
+
+
+def _is_identity(spec: PGroupSpec, a: np.ndarray) -> np.ndarray:
+    """Boolean mask over the leading axes: which matrices are the identity."""
+    return np.all(a == _layout(spec)[2], axis=(-2, -1))
+
+
+def _delta_array(spec: PGroupSpec,
+                 budget: int = DEFAULT_DELTA_BUDGET) -> np.ndarray:
+    """All of Delta as an (N, D, D) array, in the order of enumerate_delta."""
+    size = delta_order(spec)
+    if size > budget:
+        raise BudgetExceeded(f"kernel size {size} exceeds budget {budget}")
+    dtype, mods, ident = _layout(spec)
+    off = _offsets(spec)
+    # entries with a single value stay 0 and add no axis to the grid
+    free = [(off[j] + a, off[k] + b, step, count)
+            for j, k, a, b, step, count in _free_entry_ranges(spec, kernel=True)
+            if count > 1]
+    grids = np.meshgrid(*[np.arange(count, dtype=dtype) * step
+                          for _, _, step, count in free], indexing="ij")
+    out = np.zeros((size,) + ident.shape, dtype=dtype)
+    for (i, c, _, _), grid in zip(free, grids):
+        out[:, i, c] = grid.reshape(-1)
+    return (out + ident) % mods
 
 
 # --- random endomorphisms (seeded, for sampling-style checks) ---
@@ -506,12 +587,8 @@ class _EndoRep:
     def sigma_is_identity(self, a):
         return sigma(a) == self._iq
 
-    def lift(self, q: QElement):
-        return _diagonal_int_lift(self.spec, q)
-
-    def invert(self, a):
-        from .endo import invert
-        return invert(a)
+    def from_rows(self, rows):
+        return _unflat(self.spec, rows)
 
     def to_endo(self, a):
         return a
@@ -543,11 +620,8 @@ class _MatrixRep:
             for i, row in enumerate(a) for j, x in enumerate(row)
         )
 
-    def lift(self, q: QElement):
-        return tuple(tuple(int(x) for x in row) for row in q.mats[0])
-
-    def invert(self, a):
-        return mx.inv_mod(a, self.q, self.p)
+    def from_rows(self, rows):
+        return tuple(tuple(row) for row in rows)
 
     def to_endo(self, a):
         return BlockEndo(spec=self.spec, cells=((a,),))
@@ -595,6 +669,16 @@ def complement_lift_search(spec: PGroupSpec,
     lift is only tried up to kernel-conjugacy (conjugating a complement by a
     kernel element yields another complement); for each assignment the
     pairwise product orders are checked before running the closure.
+
+    The order filter and the conjugacy orbits are evaluated batched, over
+    Delta as one (N, D, D) array: the candidates for g are the rows of
+    lift(g) * Delta with h^ord(g) = 1, and the orbit of h is
+    d^-1 * h * d for all d at once, with d^-1 = d^(|Delta| - 1) (Lagrange)
+    checked by d * d^-1 = 1.  Rows stay in the odometer order of
+    `enumerate_delta`, so candidates, assignments and results are those of
+    the element-by-element search.  The arithmetic is exact in int64 while
+    D * (p^n_R - 1)^2 < 2^63, and runs on Python ints (dtype=object) past
+    that bound.
     """
     start = time.monotonic()
     pi = pi_order(spec)
@@ -620,35 +704,31 @@ def complement_lift_search(spec: PGroupSpec,
             pass
 
     rep = _MatrixRep(spec) if spec.num_blocks == 1 else _EndoRep(spec)
-    deltas = list(enumerate_delta(spec, budget=delta_budget))
-    if spec.num_blocks == 1:
-        deltas = [d.cells[0][0] for d in deltas]
+    deltas = _delta_array(spec, budget=delta_budget)
 
-    orders = [q_order(g) for g in gens]
-    candidates = []
-    for g, og in zip(gens, orders):
-        base = rep.lift(g)
-        cands = []
-        for d in deltas:
-            h = rep.mul(base, d)
-            if rep.power(h, og) == rep.identity:
-                cands.append(h)
-        if not cands:
+    stacks = []
+    for g in gens:
+        hs = _bmul(spec, _flat(_diagonal_int_lift(spec, g)), deltas)
+        hs = hs[_is_identity(spec, _bpow(spec, hs, q_order(g)))]
+        if not len(hs):
             return SearchResult(spec, "NotFound", "exhausted",
                                 assignments_tried=0, seed=seed)
-        candidates.append(cands)
+        stacks.append(hs)
 
-    # first generator up to kernel-conjugacy
-    delta_invs = [rep.invert(d) for d in deltas]
+    # first generator up to kernel-conjugacy; d^-1 = d^(|Delta| - 1)
+    delta_invs = _bpow(spec, deltas, len(deltas) - 1)
+    if not _is_identity(spec, _bmul(spec, deltas, delta_invs)).all():
+        raise NotAUnit("a kernel element failed its inverse check")
     reps0 = []
     seen = set()
-    for h in candidates[0]:
-        if h in seen:
+    for h in stacks[0]:
+        if tuple(h.reshape(-1).tolist()) in seen:
             continue
         reps0.append(h)
-        for d, dinv in zip(deltas, delta_invs):
-            seen.add(rep.mul(rep.mul(dinv, h), d))
-    candidates[0] = reps0
+        orbit = _bmul(spec, _bmul(spec, delta_invs, h), deltas)
+        seen.update(map(tuple, orbit.reshape(len(orbit), -1).tolist()))
+    stacks[0] = reps0
+    candidates = [[rep.from_rows(h.tolist()) for h in hs] for hs in stacks]
 
     # ord(xy) = ord(yx), so unordered pairs suffice for the pre-check
     pair_orders = {}
@@ -722,20 +802,6 @@ def _transvection_perturbation(spec: PGroupSpec) -> BlockEndo:
                      cells=tuple(tuple(row) for row in cells))
 
 
-def _p_power_order(e: BlockEndo) -> int:
-    spec = e.spec
-    ident = identity_endo(spec)
-    p = spec.p
-    x = e
-    k = 0
-    while x != ident:
-        x = pow_endo(x, p)
-        k += 1
-        if k > spec.exponents[-1] + 2:
-            raise RuntimeError("element order is not a small p-power")
-    return p ** k
-
-
 def order_p_coset_obstruction(spec: PGroupSpec,
                               budget: int = DEFAULT_DELTA_BUDGET,
                               ) -> ObstructionReport:
@@ -744,22 +810,39 @@ def order_p_coset_obstruction(spec: PGroupSpec,
     A section must send the order-p transvection to an order-p element of
     that coset, so NoOrderPLift is a sound proof of non-splitting.  Finding
     one is inconclusive.
+
+    The scan is batched: the coset is base * Delta, one (N, D, D) array, and
+    each round raises the rows not yet at the identity to the p-th power.
+    Rows keep the odometer order of `enumerate_delta`, so the witness is the
+    first order-p element of the element-by-element scan.  The arithmetic is
+    exact in int64 while D * (p^n_R - 1)^2 < 2^63, and runs on Python ints
+    (dtype=object) past that bound.
     """
     p = spec.p
     pert = _transvection_perturbation(spec)
     base = add_endos(identity_endo(spec), pert)
-    hist: dict[int, int] = {}
+    coset = _bmul(spec, _flat(base), _delta_array(spec, budget=budget))
+    # k[i] counts the p-th powers that row i needs to reach the identity;
+    # only the rows not there yet are carried into the next round
+    k = np.zeros(len(coset), dtype=np.int64)
+    idx = np.flatnonzero(~_is_identity(spec, coset))
+    x = coset[idx]
+    for _ in range(spec.exponents[-1] + 2):
+        if not len(idx):
+            break
+        k[idx] += 1
+        x = _bpow(spec, x, p)
+        keep = ~_is_identity(spec, x)
+        idx, x = idx[keep], x[keep]
+    if len(idx):
+        raise RuntimeError("element order is not a small p-power")
+    ks, counts = np.unique(k, return_counts=True)
+    hist = {p ** kk: c for kk, c in zip(ks.tolist(), counts.tolist())}
     witness = None
-    count = 0
-    for d in enumerate_delta(spec, budget=budget):
-        x = compose(base, d)
-        o = _p_power_order(x)
-        hist[o] = hist.get(o, 0) + 1
-        if o == p and witness is None:
-            witness = x
-        count += 1
+    if hist.get(p, 0):
+        witness = _unflat(spec, coset[int(np.argmax(k == 1))].tolist())
     verdict = "OrderPLiftExists" if hist.get(p, 0) else "NoOrderPLift"
-    return ObstructionReport(spec=spec, coset_size=count,
+    return ObstructionReport(spec=spec, coset_size=len(coset),
                              orders_histogram=hist, verdict=verdict,
                              witness=witness)
 

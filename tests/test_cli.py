@@ -217,6 +217,24 @@ class TestBatch:
         assert "error" in rows[0]
         assert rows[1]["outcome"] == "Splits"
 
+    def test_continue_reports_non_integer_values(self, runner, tmp_path):
+        f = tmp_path / "in.jsonl"
+        _write_jsonl(f, [
+            {"p": 5, "blocks": [{"n": "abc", "r": 1}]},
+            {"p": 5, "blocks": [{"n": 2, "r": 1}]},
+            {"p": 5, "blocks": [{"n": 2.7, "r": True}]},
+        ])
+        res = runner.invoke(main, ["batch", str(f), "--continue"])
+        assert res.exit_code == EXIT_INVALID
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        errors = res.stderr.splitlines()
+        assert errors[0].startswith("line 1: SpecError: ")
+        assert errors[1].startswith("line 3: SpecError: ")
+        rows = [json.loads(ln) for ln in res.stdout.splitlines()]
+        assert [r["line"] for r in rows] == [1, 2, 3]
+        assert "error" in rows[0] and "error" in rows[2]
+        assert rows[1]["outcome"] == "Splits"
+
     def test_csv_format(self, runner, tmp_path):
         f = tmp_path / "in.jsonl"
         _write_jsonl(f, [{"p": 3, "blocks": [{"n": 2, "r": 2}]}])

@@ -23,7 +23,9 @@ from autsplit.errors import (
     ZeroRank,
 )
 from autsplit.groups import (
+    PRIME_TEST_BOUND,
     PGroupSpec,
+    _is_prime,
     add_elements,
     aut_order,
     delta_order,
@@ -76,6 +78,53 @@ class TestValidateSpec:
             validate_spec(2, [(2, 1), (2, 1)])
         with pytest.raises(NonIncreasingExponents):
             validate_spec(2, [(3, 1), (1, 1)])
+
+
+class TestStrictSpecValues:
+    @pytest.mark.parametrize("p,blocks", [
+        (2, [("abc", 1)]), (2, [(2.7, True)]), (2, [(1, 1.0)]),
+        (2.0, [(1, 1)]), (True, [(1, 1)]), ("5", [(1, 1)]), (2, [(1, None)]),
+    ])
+    def test_non_integers_rejected(self, p, blocks):
+        with pytest.raises(SpecError, match="is not an integer"):
+            validate_spec(p, blocks)
+
+    def test_json_values_are_not_coerced(self):
+        with pytest.raises(SpecError):
+            spec_from_json({"p": 2, "blocks": [{"n": 2.7, "r": True}]})
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division(self):
+        assert [n for n in range(10 ** 4) if _is_prime(n)] == \
+            [n for n in range(10 ** 4) if _trial_division(n)]
+
+    def test_large_mersenne_prime_accepted(self):
+        assert validate_spec(2 ** 61 - 1, [(1, 1)]).p == 2 ** 61 - 1
+
+    @pytest.mark.parametrize("n", [561, 1105, 1729, 2465, 2821, 6601, 8911,
+                                   41041, 825265, 321197185,
+                                   3825123056546413051])
+    def test_carmichael_and_strong_pseudoprimes_rejected(self, n):
+        assert not _is_prime(n)
+        with pytest.raises(NonPrime):
+            validate_spec(n, [(1, 1)])
+
+    def test_past_the_bound_rejected(self):
+        for p in (PRIME_TEST_BOUND, 2 ** 89 - 1):
+            with pytest.raises(SpecError, match="bound"):
+                validate_spec(p, [(1, 1)])
 
 
 class TestSpecJson:

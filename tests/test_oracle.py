@@ -1,17 +1,22 @@
 """The brute-force layer itself, checked against pure-python recomputation."""
 
+import hashlib
+import json
 import random
 
+import numpy as np
 import pytest
 
 from autsplit import matrices as mx
 from autsplit.endo import (
+    add_endos,
     check_hom_constraints,
     compose,
     element_order,
     identity_endo,
     in_delta,
     is_automorphism,
+    pow_endo,
     sigma,
 )
 from autsplit.errors import BudgetExceeded, Overflow, RankTooSmall
@@ -24,6 +29,12 @@ from autsplit.groups import (
     validate_spec,
 )
 from autsplit.oracle import (
+    _bmul,
+    _delta_array,
+    _flat,
+    _layout,
+    _transvection_perturbation,
+    _unflat,
     bijective_equivalence_report,
     binomial_obstruction_check,
     brute_force_is_bijective,
@@ -250,3 +261,105 @@ class TestBinomialCheck:
             binomial_obstruction_check(validate_spec(5, [(3, 2)]))
         with pytest.raises(PreconditionViolation):
             binomial_obstruction_check(validate_spec(5, [(2, 1)]))
+
+
+# --- the batched Delta kernel against the per-element definitions ---
+
+def _p_power_order(e):
+    """Reference: the least p^k with e^(p^k) = 1, one composition at a time."""
+    ident = identity_endo(e.spec)
+    x, k = e, 0
+    while x != ident:
+        x = pow_endo(x, e.spec.p)
+        k += 1
+        assert k <= e.spec.exponents[-1] + 2
+    return e.spec.p ** k
+
+
+def _reference_obstruction(spec):
+    """The coset scan written per element: compose + order over enumerate_delta."""
+    base = add_endos(identity_endo(spec), _transvection_perturbation(spec))
+    hist, witness, count = {}, None, 0
+    for d in enumerate_delta(spec):
+        x = compose(base, d)
+        o = _p_power_order(x)
+        hist[o] = hist.get(o, 0) + 1
+        if o == spec.p and witness is None:
+            witness = x
+        count += 1
+    out = {"spec": {"p": spec.p, "blocks": [{"n": n, "r": r}
+                                            for n, r in spec.blocks]},
+           "coset_size": count,
+           "orders_histogram": {str(k): v for k, v in sorted(hist.items())},
+           "verdict": "OrderPLiftExists" if witness else "NoOrderPLift"}
+    if witness is not None:
+        out["witness"] = {"cells": [[[list(r) for r in cell] for cell in row]
+                                    for row in witness.cells]}
+    return out
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("p,blocks", [
+        (2, [(1, 1)]), (5, [(2, 1)]), (2, [(2, 2)]), (3, [(2, 2)]),
+        (2, [(3, 2)]), (2, [(1, 1), (2, 1)]), (3, [(1, 1), (2, 2)]),
+        (2, [(1, 2), (2, 2)]), (2, [(1, 1), (2, 1), (3, 1)]),
+    ])
+    def test_delta_array_is_enumeration_order(self, p, blocks):
+        spec = validate_spec(p, blocks)
+        arr = _delta_array(spec)
+        want = [_flat(d).tolist() for d in enumerate_delta(spec)]
+        assert arr.tolist() == want
+        assert [_unflat(spec, m) for m in want] == list(enumerate_delta(spec))
+
+    def test_delta_array_budget(self):
+        spec = validate_spec(2, [(4, 3)])
+        with pytest.raises(BudgetExceeded) as got:
+            _delta_array(spec, budget=1000)
+        with pytest.raises(BudgetExceeded) as want:
+            next(enumerate_delta(spec, budget=1000))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("p,blocks", [
+        (5, [(2, 2)]), (7, [(2, 2)]), (11, [(2, 2)]), (3, [(2, 3)]),
+        (2, [(1, 2), (2, 2)]), (2, [(1, 3), (3, 1)]),
+    ])
+    def test_obstruction_matches_per_element_scan(self, p, blocks):
+        spec = validate_spec(p, blocks)
+        assert (order_p_coset_obstruction(spec).to_json()
+                == _reference_obstruction(spec))
+
+    # (outcome, evidence, assignments_tried, md5 of the result JSON),
+    # recorded from the per-element search
+    LIFT_PINS = {
+        (2, ((2, 2),)): ("Found", "exhaustive lift search", 2, "c7307a4d95e2"),
+        (2, ((2, 3),)): ("Found", "exhaustive lift search", 3, "6b00a36cdebb"),
+        (2, ((3, 2),)): ("Found", "exhaustive lift search", 4, "575325bed402"),
+        (3, ((2, 2),)): ("Found", "exhaustive lift search", 2, "0243964bb736"),
+        (3, ((3, 2),)): ("Found", "exhaustive lift search", 2, "787f4b5ede2a"),
+        (2, ((1, 1), (2, 2))): ("Found", "exhaustive lift search", 2,
+                                "7cd03e0d93d1"),
+        (3, ((1, 1), (2, 2))): ("Found", "exhaustive lift search", 2,
+                                "6455bfeec1e2"),
+    }
+
+    @pytest.mark.parametrize("pre", [True, False])
+    @pytest.mark.parametrize("key", list(LIFT_PINS))
+    def test_lift_search_pinned(self, key, pre):
+        result = complement_lift_search(validate_spec(*key),
+                                        pre_obstruction=pre)
+        digest = hashlib.md5(json.dumps(result.to_json(), sort_keys=True)
+                             .encode()).hexdigest()[:12]
+        assert (result.outcome, result.evidence, result.assignments_tried,
+                digest) == self.LIFT_PINS[key]
+
+    def test_large_entries_take_the_object_path(self):
+        spec = validate_spec(65537, [(2, 2)])  # entries up to 65537^2 > 2^32
+        m = spec.moduli[0]
+        assert _layout(spec)[0] is object
+        rng = random.Random(0)
+        mats = [tuple(tuple(rng.randrange(2 ** 31, m) for _ in range(2))
+                      for _ in range(2)) for _ in range(6)]
+        stack = [_flat(_unflat(spec, [list(r) for r in a])) for a in mats]
+        got = _bmul(spec, stack[0], np.stack(stack[1:]))
+        assert got.tolist() == [[list(r) for r in mx.mat_mul(mats[0], b, m)]
+                                for b in mats[1:]]
