@@ -16,6 +16,7 @@ a miss, reported on stderr, never an error.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import sys
@@ -67,12 +68,20 @@ def _parse_blocks(blocks: tuple[str, ...]):
 
 
 def _spec_from_options(p, blocks, spec_file) -> PGroupSpec:
-    if spec_file is not None:
-        with open(spec_file) as fh:
-            return spec_from_json(json.load(fh))
-    if p is None or not blocks:
-        raise SpecError("provide -p and -b n:r, or --spec-file")
-    return validate_spec(p, _parse_blocks(blocks))
+    """The spec the options give; exits EXIT_INVALID if it is invalid.
+
+    An unreadable or undecodable --spec-file counts as invalid input.
+    """
+    try:
+        if spec_file is not None:
+            with open(spec_file, encoding="utf-8") as fh:
+                return spec_from_json(json.load(fh))
+        if p is None or not blocks:
+            raise SpecError("provide -p and -b n:r, or --spec-file")
+        return validate_spec(p, _parse_blocks(blocks))
+    except (SpecError, json.JSONDecodeError, OSError,
+            UnicodeDecodeError) as exc:
+        _fail_invalid(exc)
 
 
 def _fail_invalid(exc) -> None:
@@ -99,10 +108,7 @@ def _spec_options(f):
 @_spec_options
 def cmd_classify(prime, blocks, spec_file) -> None:
     """Print the splitting verdict for a group."""
-    try:
-        spec = _spec_from_options(prime, blocks, spec_file)
-    except (SpecError, json.JSONDecodeError) as exc:
-        _fail_invalid(exc)
+    spec = _spec_from_options(prime, blocks, spec_file)
     _echo_json(classify(spec).to_json())
 
 
@@ -117,10 +123,7 @@ def cmd_classify(prime, blocks, spec_file) -> None:
 def cmd_section(prime, blocks, spec_file, cache_dir, seed,
                 budget_assignments, output) -> None:
     """Construct and verify an explicit section; print the certificate."""
-    try:
-        spec = _spec_from_options(prime, blocks, spec_file)
-    except (SpecError, json.JSONDecodeError) as exc:
-        _fail_invalid(exc)
+    spec = _spec_from_options(prime, blocks, spec_file)
     verdict = classify(spec)
     if verdict.outcome != "Splits":
         click.echo(f"classifier verdict is {verdict.outcome}; no section",
@@ -161,10 +164,7 @@ def cmd_oracle() -> None:
 def cmd_bijective_equiv(prime, blocks, spec_file, samples, seed,
                         budget_elems) -> None:
     """Compare the unit criterion against brute-force bijectivity."""
-    try:
-        spec = _spec_from_options(prime, blocks, spec_file)
-    except (SpecError, json.JSONDecodeError) as exc:
-        _fail_invalid(exc)
+    spec = _spec_from_options(prime, blocks, spec_file)
     try:
         report = _oracle.bijective_equivalence_report(
             spec, samples=samples, seed=seed, element_budget=budget_elems)
@@ -180,10 +180,7 @@ def cmd_bijective_equiv(prime, blocks, spec_file, samples, seed,
 @click.option("--budget-elems", type=int, default=DEFAULT_DELTA_BUDGET)
 def cmd_delta_count(prime, blocks, spec_file, budget_elems) -> None:
     """Check the kernel-size formula against direct enumeration."""
-    try:
-        spec = _spec_from_options(prime, blocks, spec_file)
-    except (SpecError, json.JSONDecodeError) as exc:
-        _fail_invalid(exc)
+    spec = _spec_from_options(prime, blocks, spec_file)
     formula = delta_order(spec)
     try:
         enumerated = sum(1 for _ in _oracle.enumerate_delta(
@@ -200,10 +197,7 @@ def cmd_delta_count(prime, blocks, spec_file, budget_elems) -> None:
 @click.option("--budget-elems", type=int, default=DEFAULT_DELTA_BUDGET)
 def cmd_obstruction(prime, blocks, spec_file, budget_elems) -> None:
     """Scan the transvection-lift coset for an order-p element."""
-    try:
-        spec = _spec_from_options(prime, blocks, spec_file)
-    except (SpecError, json.JSONDecodeError) as exc:
-        _fail_invalid(exc)
+    spec = _spec_from_options(prime, blocks, spec_file)
     try:
         report = _oracle.order_p_coset_obstruction(spec, budget=budget_elems)
     except RankTooSmall as exc:
@@ -225,10 +219,7 @@ def cmd_obstruction(prime, blocks, spec_file, budget_elems) -> None:
 def cmd_complement_search(prime, blocks, spec_file, seed, budget_assignments,
                           budget_elems, pre_obstruction) -> None:
     """Exhaustive generator-lift search deciding splitting directly."""
-    try:
-        spec = _spec_from_options(prime, blocks, spec_file)
-    except (SpecError, json.JSONDecodeError) as exc:
-        _fail_invalid(exc)
+    spec = _spec_from_options(prime, blocks, spec_file)
     try:
         result = _oracle.complement_lift_search(
             spec, seed=seed, assignment_budget=budget_assignments,
@@ -319,22 +310,16 @@ def cmd_batch(input_file, with_oracle, seed, budget_assignments, budget_elems,
     with open(input_file) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
 
-    def work(args):
-        lineno, line = args
-        return _batch_row(line, lineno, with_oracle, seed,
-                          budget_assignments, budget_elems)
-
-    jobs = list(enumerate(lines, start=1))
+    row_of = functools.partial(
+        _batch_row, with_oracle=with_oracle, seed=seed,
+        budget_assignments=budget_assignments, budget_elems=budget_elems)
+    linenos = range(1, len(lines) + 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                _batch_row, lines, range(1, len(lines) + 1),
-                [with_oracle] * len(lines), [seed] * len(lines),
-                [budget_assignments] * len(lines),
-                [budget_elems] * len(lines)))
+            rows = list(pool.map(row_of, lines, linenos))
     else:
-        rows = [work(j) for j in jobs]
+        rows = list(map(row_of, lines, linenos))
 
     had_error = False
     disagreement = False

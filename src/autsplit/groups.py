@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import prod
+from math import gcd, isqrt, prod
 
 from .errors import (
     BudgetExceeded,
@@ -61,6 +61,69 @@ def _is_prime(p: int) -> bool:
         else:
             return False
     return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the odd composite n, by Brent's variant of rho.
+
+    Deterministic: the start is fixed and the constant c steps 1, 2, ...
+    until a step finds a factor other than n itself.
+    """
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _factorize(n: int) -> dict[int, int]:
+    """The prime factorization of n >= 1 as {prime: multiplicity}, sorted.
+
+    Trial division by the numbers below 1000, then Pollard-Brent on the
+    cofactors; `_is_prime` confirms every factor reported.
+    """
+    if n < 1:
+        raise ValueError(f"cannot factor {n}")
+    out: dict[int, int] = {}
+    for d in itertools.chain((2,), range(3, 1000, 2)):
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        root = isqrt(m)
+        d = root if root * root == m else _pollard_brent(m)
+        stack += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def primitive_root(p: int) -> int:
+    """The smallest generator of the units mod the prime p (1 for p = 2)."""
+    qs = _factorize(p - 1)
+    return next(g for g in itertools.count(1)
+                if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
 
 
 @dataclass(frozen=True)

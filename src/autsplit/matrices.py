@@ -30,18 +30,6 @@ def shape(a: Matrix) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
 
 
-def mat_add(a: Matrix, b: Matrix, m: int) -> Matrix:
-    if shape(a) != shape(b):
-        raise ShapeMismatch(f"cannot add {shape(a)} and {shape(b)}")
-    return tuple(
-        tuple((x + y) % m for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
-def mat_neg(a: Matrix, m: int) -> Matrix:
-    return tuple(tuple((-x) % m for x in row) for row in a)
-
-
 def mat_scale(c: int, a: Matrix, m: int) -> Matrix:
     return tuple(tuple((c * x) % m for x in row) for row in a)
 
@@ -64,19 +52,6 @@ def mat_vec(a: Matrix, v: tuple[int, ...], m: int) -> tuple[int, ...]:
     if ca != len(v):
         raise ShapeMismatch(f"cannot apply {shape(a)} to vector of length {len(v)}")
     return tuple(sum(x * y for x, y in zip(row, v)) % m for row in a)
-
-
-def mat_pow(a: Matrix, e: int, m: int) -> Matrix:
-    if e < 0:
-        raise ValueError("negative exponent")
-    result = identity(len(a))
-    base = a
-    while e:
-        if e & 1:
-            result = mat_mul(result, base, m)
-        base = mat_mul(base, base, m)
-        e >>= 1
-    return result
 
 
 def transpose(a: Matrix) -> Matrix:

@@ -27,12 +27,14 @@ from .endo import (
     add_endos,
     compose,
     identity_endo,
-    identity_q,
     is_automorphism,
+    layout,
+    mul_rows,
     pow_endo,
+    pow_rows,
     q_mul,
     q_order,
-    sigma,
+    reduces_to_identity,
     zero_endo,
 )
 from .errors import (
@@ -50,6 +52,7 @@ from .groups import (
     group_order,
     gl_order,
     pi_order,
+    primitive_root,
 )
 from .matrices import Matrix
 
@@ -62,7 +65,7 @@ DEFAULT_ASSIGNMENT_BUDGET = 2 ** 22
 @lru_cache(maxsize=None)
 def _element_table(spec: PGroupSpec):
     """All group elements as rows of flat coordinates, odometer order."""
-    mods = [m for (_, r), m in zip(spec.blocks, spec.moduli) for _ in range(r)]
+    mods = layout(spec).moduli
     grids = np.meshgrid(*[np.arange(m, dtype=np.int64) for m in mods],
                         indexing="ij")
     table = np.stack([g.reshape(-1) for g in grids], axis=1)
@@ -87,11 +90,14 @@ def brute_force_is_bijective(e: BlockEndo,
 # --- enumeration of the kernel and of all endomorphisms ---
 
 def _free_entry_ranges(spec: PGroupSpec, kernel: bool):
-    """Per-entry (j, k, row, col, step, count) descriptors, odometer order.
+    """Per-entry (row, col, step, count) of the flat matrix, odometer order.
 
-    With kernel=True the diagonal cells are restricted to multiples of p.
+    Entries run cell by cell, (j, k) row-major, and row-major inside a
+    cell.  Entry (i, c) takes the values step * t for t < count.  With
+    kernel=True the diagonal cells are restricted to multiples of p.
     """
     p = spec.p
+    off = layout(spec).offsets
     out = []
     for j, (nj, rj) in enumerate(spec.blocks):
         for k, (nk, rk) in enumerate(spec.blocks):
@@ -101,37 +107,21 @@ def _free_entry_ranges(spec: PGroupSpec, kernel: bool):
             else:
                 step = p ** max(nj - nk, 0)
                 count = p ** min(nj, nk)
-            for a in range(rj):
-                for b in range(rk):
-                    out.append((j, k, a, b, step, count))
+            out += [(off[j] + a, off[k] + b, step, count)
+                    for a in range(rj) for b in range(rk)]
     return out
 
 
 def _endo_stream(spec: PGroupSpec, kernel: bool, offset: BlockEndo | None):
     entries = _free_entry_ranges(spec, kernel)
-    base = offset.cells if offset is not None else None
-    for combo in itertools.product(*[range(c) for (_, _, _, _, _, c) in entries]):
-        grid = [
-            [[[0] * rk for _ in range(rj)] for rk in spec.ranks]
-            for rj in spec.ranks
-        ]
-        for (j, k, a, b, step, _), t in zip(entries, combo):
-            grid[j][k][a][b] = step * t
-        if base is not None:
-            for j, m in enumerate(spec.moduli):
-                for k in range(spec.num_blocks):
-                    cell = grid[j][k]
-                    off = base[j][k]
-                    for a, row in enumerate(cell):
-                        for b in range(len(row)):
-                            row[b] = (row[b] + off[a][b]) % m
-        yield BlockEndo(
-            spec=spec,
-            cells=tuple(
-                tuple(tuple(tuple(r) for r in cell) for cell in row)
-                for row in grid
-            ),
-        )
+    lay = layout(spec)
+    base = offset.rows if offset is not None else zero_endo(spec).rows
+    for combo in itertools.product(*[range(c) for *_, c in entries]):
+        grid = [list(row) for row in base]
+        for (i, c, step, _), t in zip(entries, combo):
+            grid[i][c] += step * t
+        yield BlockEndo(spec=spec, rows=tuple(
+            tuple(x % m for x in row) for row, m in zip(grid, lay.moduli)))
 
 
 def enumerate_delta(spec: PGroupSpec, budget: int = DEFAULT_DELTA_BUDGET):
@@ -153,7 +143,7 @@ def enumerate_ideal(spec: PGroupSpec, budget: int = DEFAULT_DELTA_BUDGET):
 def endo_count(spec: PGroupSpec) -> int:
     """Number of endomorphisms of G."""
     total = 1
-    for _, _, _, _, _, count in _free_entry_ranges(spec, kernel=False):
+    for *_, count in _free_entry_ranges(spec, kernel=False):
         total *= count
     return total
 
@@ -178,52 +168,29 @@ def count_bijective_endos(spec: PGroupSpec,
 
 # --- the batched kernel: Delta as one (N, D, D) array ---
 #
-# An endomorphism is held flat, as one D x D matrix (D = total rank) with
-# the cells pasted in block order.  Row i of a product A @ B is reduced mod
-# the modulus of the block holding row i; that is cell by cell exactly the
-# reduction `compose` does, so a stack of products is a stack of compositions.
-# Entries lie in [0, p^n_R) and a row sums D products, so int64 is exact
-# while D * (p^n_R - 1)^2 < 2^63; past that the same arrays hold Python ints
-# (dtype=object).
+# A stack of flat matrices (`BlockEndo.rows`) multiplied with row i reduced
+# mod the modulus of its block is a stack of compositions.  The dtype comes
+# from `endo.layout`: int64 while exact, Python ints (object) past that.
 
 @lru_cache(maxsize=None)
 def _layout(spec: PGroupSpec):
-    """(dtype, per-row moduli as a column, identity) of the flat layout."""
-    D = spec.total_rank
-    dtype = np.int64 if D * (spec.moduli[-1] - 1) ** 2 < 2 ** 63 else object
-    mods = np.array([m for m, r in zip(spec.moduli, spec.ranks)
-                     for _ in range(r)], dtype=dtype)[:, None]
-    ident = np.eye(D, dtype=dtype)
+    """(dtype, per-row moduli as a column, identity) as numpy arrays."""
+    lay = layout(spec)
+    mods = np.array(lay.moduli, dtype=lay.dtype)[:, None]
+    ident = np.array(lay.identity, dtype=lay.dtype)
     mods.flags.writeable = False
     ident.flags.writeable = False
-    return dtype, mods, ident
-
-
-def _offsets(spec: PGroupSpec) -> list[int]:
-    return list(itertools.accumulate(spec.ranks, initial=0))
+    return lay.dtype, mods, ident
 
 
 def _flat(e: BlockEndo) -> np.ndarray:
-    """The cells pasted into one (total_rank x total_rank) matrix."""
-    spec = e.spec
-    off = _offsets(spec)
-    out = np.zeros((spec.total_rank,) * 2, dtype=_layout(spec)[0])
-    for j in range(spec.num_blocks):
-        for k in range(spec.num_blocks):
-            out[off[j]:off[j + 1], off[k]:off[k + 1]] = e.cells[j][k]
-    return out
+    """The flat matrix of e as a numpy array."""
+    return np.array(e.rows, dtype=layout(e.spec).dtype)
 
 
 def _unflat(spec: PGroupSpec, rows: list[list[int]]) -> BlockEndo:
-    """The BlockEndo whose flat matrix has these rows (from `.tolist()`)."""
-    off = _offsets(spec)
-    R = spec.num_blocks
-    return BlockEndo(spec=spec, cells=tuple(
-        tuple(
-            tuple(tuple(row[off[k]:off[k + 1]])
-                  for row in rows[off[j]:off[j + 1]])
-            for k in range(R))
-        for j in range(R)))
+    """The BlockEndo with these rows (from `.tolist()`)."""
+    return BlockEndo(spec=spec, rows=tuple(map(tuple, rows)))
 
 
 def _bmul(spec: PGroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -255,11 +222,9 @@ def _delta_array(spec: PGroupSpec,
     if size > budget:
         raise BudgetExceeded(f"kernel size {size} exceeds budget {budget}")
     dtype, mods, ident = _layout(spec)
-    off = _offsets(spec)
     # entries with a single value stay 0 and add no axis to the grid
-    free = [(off[j] + a, off[k] + b, step, count)
-            for j, k, a, b, step, count in _free_entry_ranges(spec, kernel=True)
-            if count > 1]
+    free = [entry for entry in _free_entry_ranges(spec, kernel=True)
+            if entry[3] > 1]
     grids = np.meshgrid(*[np.arange(count, dtype=dtype) * step
                           for _, _, step, count in free], indexing="ij")
     out = np.zeros((size,) + ident.shape, dtype=dtype)
@@ -270,20 +235,19 @@ def _delta_array(spec: PGroupSpec,
 
 # --- random endomorphisms (seeded, for sampling-style checks) ---
 
+def _random_entries(spec: PGroupSpec, rng: random.Random,
+                    kernel: bool) -> BlockEndo:
+    """One uniform draw per free entry, in odometer order."""
+    D = spec.total_rank
+    grid = [[0] * D for _ in range(D)]
+    for i, c, step, count in _free_entry_ranges(spec, kernel):
+        grid[i][c] = step * rng.randrange(count)
+    return BlockEndo(spec=spec, rows=tuple(map(tuple, grid)))
+
+
 def random_endo(spec: PGroupSpec, rng: random.Random) -> BlockEndo:
     """A uniformly random endomorphism respecting the divisibility constraints."""
-    cells = []
-    for j, (nj, rj) in enumerate(spec.blocks):
-        row = []
-        for k, (nk, rk) in enumerate(spec.blocks):
-            step = spec.p ** max(nj - nk, 0)
-            count = spec.p ** min(nj, nk)
-            row.append(tuple(
-                tuple(step * rng.randrange(count) for _ in range(rk))
-                for _ in range(rj)
-            ))
-        cells.append(tuple(row))
-    return BlockEndo(spec=spec, cells=tuple(cells))
+    return _random_entries(spec, rng, kernel=False)
 
 
 def random_unit(spec: PGroupSpec, rng: random.Random,
@@ -297,21 +261,7 @@ def random_unit(spec: PGroupSpec, rng: random.Random,
 
 def random_ideal_element(spec: PGroupSpec, rng: random.Random) -> BlockEndo:
     """Random element of the ideal (diagonal cells vanish mod p)."""
-    p = spec.p
-    cells = []
-    for j, (nj, rj) in enumerate(spec.blocks):
-        row = []
-        for k, (nk, rk) in enumerate(spec.blocks):
-            if j == k:
-                step, count = p, p ** (nj - 1)
-            else:
-                step, count = p ** max(nj - nk, 0), p ** min(nj, nk)
-            row.append(tuple(
-                tuple(step * rng.randrange(count) for _ in range(rk))
-                for _ in range(rj)
-            ))
-        cells.append(tuple(row))
-    return BlockEndo(spec=spec, cells=tuple(cells))
+    return _random_entries(spec, rng, kernel=True)
 
 
 def random_delta_element(spec: PGroupSpec, rng: random.Random) -> BlockEndo:
@@ -445,8 +395,7 @@ def _gl_generators(p: int, r: int, rng: random.Random):
     if target == 1:
         return []
     if r == 1:
-        zeta = sympy_primitive_root(p)
-        return [((zeta,),)]
+        return [((primitive_root(p),),)]
     ident = mx.identity(r)
 
     def closure_size_is(mats, cap):
@@ -481,18 +430,12 @@ def _gl_generators(p: int, r: int, rng: random.Random):
                 t = [list(row) for row in ident]
                 t[i][j] = 1
                 gens.append(tuple(tuple(row) for row in t))
-    zeta = sympy_primitive_root(p)
     d = [list(row) for row in ident]
-    d[0][0] = zeta
+    d[0][0] = primitive_root(p)
     gens.append(tuple(tuple(row) for row in d))
     if not closure_size_is(gens, target):
         raise RuntimeError("fallback generators failed to generate")
     return gens
-
-
-def sympy_primitive_root(p: int) -> int:
-    import sympy
-    return int(sympy.primitive_root(p))
 
 
 def find_generators_of_Q(spec: PGroupSpec, seed: int = 0,
@@ -559,86 +502,31 @@ class SearchResult:
 
 def _diagonal_int_lift(spec: PGroupSpec, q: QElement) -> BlockEndo:
     """Entrywise integer lift of a quotient element, block diagonal."""
-    cells = tuple(
-        tuple(
-            tuple(tuple(int(x) for x in row) for row in q.mats[j])
-            if j == k else mx.zeros(spec.ranks[j], spec.ranks[k])
-            for k in range(spec.num_blocks)
-        )
-        for j in range(spec.num_blocks)
-    )
-    return BlockEndo(spec=spec, cells=cells)
+    D = spec.total_rank
+    grid = [[0] * D for _ in range(D)]
+    for o, m in zip(layout(spec).offsets, q.mats):
+        for a, row in enumerate(m):
+            grid[o + a][o:o + len(row)] = map(int, row)
+    return BlockEndo(spec=spec, rows=tuple(map(tuple, grid)))
 
 
-class _EndoRep:
-    """Search representation for multi-block specs: plain BlockEndo values."""
+def _complement_closure_ok(hs, spec: PGroupSpec, cap: int) -> bool:
+    """Closure of the flat matrices `hs`, with early aborts.
 
-    def __init__(self, spec: PGroupSpec):
-        self.spec = spec
-        self.identity = identity_endo(spec)
-        self._iq = identity_q(spec)
-
-    def mul(self, a, b):
-        return compose(a, b)
-
-    def power(self, a, m):
-        return pow_endo(a, m)
-
-    def sigma_is_identity(self, a):
-        return sigma(a) == self._iq
-
-    def from_rows(self, rows):
-        return _unflat(self.spec, rows)
-
-    def to_endo(self, a):
-        return a
-
-
-class _MatrixRep:
-    """Search representation for single-block specs: raw matrices mod p^n.
-
-    Avoids per-step dataclass construction in the hot closure loop.
+    Any kernel hit or size overflow fails.  Runs on bare rows through
+    `mul_rows`, the product `compose` uses, without BlockEndo objects.
     """
-
-    def __init__(self, spec: PGroupSpec):
-        self.spec = spec
-        self.p = spec.p
-        self.q = spec.moduli[0]
-        self.r = spec.ranks[0]
-        self.identity = mx.identity(self.r)
-
-    def mul(self, a, b):
-        return mx.mat_mul(a, b, self.q)
-
-    def power(self, a, m):
-        return mx.mat_pow(a, m, self.q)
-
-    def sigma_is_identity(self, a):
-        p = self.p
-        return all(
-            (x - (1 if i == j else 0)) % p == 0
-            for i, row in enumerate(a) for j, x in enumerate(row)
-        )
-
-    def from_rows(self, rows):
-        return tuple(tuple(row) for row in rows)
-
-    def to_endo(self, a):
-        return BlockEndo(spec=self.spec, cells=((a,),))
-
-
-def _complement_closure_ok(hs, rep, cap) -> bool:
-    """Closure with early aborts: any kernel hit or size overflow fails."""
-    seen = {rep.identity}
-    frontier = [rep.identity]
-    mul = rep.mul
+    lay = layout(spec)
+    mods = lay.moduli
+    seen = {lay.identity}
+    frontier = [lay.identity]
     while frontier:
         new = []
         for x in frontier:
             for g in hs:
-                y = mul(x, g)
+                y = mul_rows(x, g, mods)
                 if y not in seen:
-                    if rep.sigma_is_identity(y):
+                    if reduces_to_identity(y, lay):
                         return False
                     if len(seen) >= cap:
                         return False
@@ -688,13 +576,7 @@ def complement_lift_search(spec: PGroupSpec,
     if delta_order(spec) > delta_budget:
         return SearchResult(spec, "BudgetExceeded", "kernel too large",
                             seed=seed)
-    gen_res = find_generators_of_Q(spec, seed=seed,
-                                   closure_budget=closure_budget)
-    gens = gen_res.generators
-    if not gens:  # trivial quotient: the identity is a complement
-        return SearchResult(spec, "Found", "trivial quotient",
-                            generators=(), images=(), seed=seed)
-
+    # the scan needs ranks[0] >= 2, so the quotient is not trivial here
     if pre_obstruction and spec.ranks[0] >= 2:
         try:
             report = order_p_coset_obstruction(spec, budget=delta_budget)
@@ -703,7 +585,13 @@ def complement_lift_search(spec: PGroupSpec,
         except (RankTooSmall, BudgetExceeded):
             pass
 
-    rep = _MatrixRep(spec) if spec.num_blocks == 1 else _EndoRep(spec)
+    gen_res = find_generators_of_Q(spec, seed=seed,
+                                   closure_budget=closure_budget)
+    gens = gen_res.generators
+    if not gens:  # trivial quotient: the identity is a complement
+        return SearchResult(spec, "Found", "trivial quotient",
+                            generators=(), images=(), seed=seed)
+
     deltas = _delta_array(spec, budget=delta_budget)
 
     stacks = []
@@ -728,7 +616,7 @@ def complement_lift_search(spec: PGroupSpec,
         orbit = _bmul(spec, _bmul(spec, delta_invs, h), deltas)
         seen.update(map(tuple, orbit.reshape(len(orbit), -1).tolist()))
     stacks[0] = reps0
-    candidates = [[rep.from_rows(h.tolist()) for h in hs] for hs in stacks]
+    candidates = [[tuple(map(tuple, h.tolist())) for h in hs] for hs in stacks]
 
     # ord(xy) = ord(yx), so unordered pairs suffice for the pre-check
     pair_orders = {}
@@ -736,6 +624,7 @@ def complement_lift_search(spec: PGroupSpec,
         for j in range(i + 1, len(gens)):
             pair_orders[(i, j)] = q_order(q_mul(gens[i], gens[j]))
 
+    lay = layout(spec)
     tried = 0
     for assignment in itertools.product(*candidates):
         tried += 1
@@ -745,16 +634,12 @@ def complement_lift_search(spec: PGroupSpec,
         if time_budget is not None and time.monotonic() - start > time_budget:
             return SearchResult(spec, "BudgetExceeded", "time budget",
                                 assignments_tried=tried, seed=seed)
-        ok = True
-        for (i, j), o in pair_orders.items():
-            prod = rep.mul(assignment[i], assignment[j])
-            if rep.power(prod, o) != rep.identity:
-                ok = False
-                break
-        if not ok:
+        if any(pow_rows(mul_rows(assignment[i], assignment[j], lay.moduli),
+                        o, lay) != lay.identity
+               for (i, j), o in pair_orders.items()):
             continue
-        if _complement_closure_ok(assignment, rep, pi):
-            images = tuple(rep.to_endo(h) for h in assignment)
+        if _complement_closure_ok(assignment, spec, pi):
+            images = tuple(BlockEndo(spec=spec, rows=h) for h in assignment)
             return SearchResult(spec, "Found", "exhaustive lift search",
                                 generators=gens, images=images,
                                 assignments_tried=tried, seed=seed)
@@ -792,14 +677,9 @@ def _transvection_perturbation(spec: PGroupSpec) -> BlockEndo:
     r1 = spec.ranks[0]
     if r1 < 2:
         raise RankTooSmall("leading block has rank 1: no transvection")
-    cell = [[0] * r1 for _ in range(r1)]
-    cell[0][r1 - 1] = 1
-    cells = [[mx.zeros(spec.ranks[j], spec.ranks[k])
-              for k in range(spec.num_blocks)]
-             for j in range(spec.num_blocks)]
-    cells[0][0] = tuple(tuple(row) for row in cell)
-    return BlockEndo(spec=spec,
-                     cells=tuple(tuple(row) for row in cells))
+    D = spec.total_rank
+    top = tuple(int(c == r1 - 1) for c in range(D))
+    return BlockEndo(spec=spec, rows=(top,) + ((0,) * D,) * (D - 1))
 
 
 def order_p_coset_obstruction(spec: PGroupSpec,
@@ -888,7 +768,7 @@ def binomial_obstruction_check(spec: PGroupSpec, trials: int = 1000,
     for _ in range(trials):
         c = random_ideal_element(spec, rng)
         m = pow_endo(add_endos(ident, add_endos(pert, c)), p)
-        entry = m.cells[0][0][0][r1 - 1]
+        entry = m.rows[0][r1 - 1]
         if entry % (p * p) != p:
             failures += 1
     return BinomialReport(spec=spec, trials=trials, failures=failures,

@@ -212,7 +212,7 @@ def block_section(p: int, n: int, r: int,
                 p, n, r, replace(cert, verification=report.to_json()))
     else:
         _, report = loaded
-    table = {q.mats[0]: e.cells[0][0] for q, e in report.table.items()}
+    table = {q.mats[0]: e.rows for q, e in report.table.items()}
     return BlockSection(p=p, n=n, r=r, kind="table", table=table)
 
 

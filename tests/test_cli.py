@@ -1,10 +1,15 @@
 """Command-line interface, driven through click's test runner."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import autsplit
 from autsplit.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -54,6 +59,27 @@ class TestClassify:
     def test_bad_block_syntax(self, runner):
         res = runner.invoke(main, ["classify", "-p", "2", "-b", "nope"])
         assert res.exit_code == EXIT_INVALID
+
+    def test_spec_file_is_a_directory(self, runner, tmp_path):
+        res = runner.invoke(main, ["classify", "--spec-file", str(tmp_path)])
+        assert res.exit_code == EXIT_INVALID
+        assert res.stderr.startswith("error: IsADirectoryError: ")
+
+    def test_spec_file_not_utf8(self, runner, tmp_path):
+        f = tmp_path / "spec.json"
+        f.write_bytes(b'{"p": 5, "blocks": [{"n": 2, "r": 1}]} \xff\xfe')
+        res = runner.invoke(main, ["classify", "--spec-file", str(f)])
+        assert res.exit_code == EXIT_INVALID
+        assert res.stderr.startswith("error: UnicodeDecodeError: ")
+
+
+def test_cli_import_leaves_out_sympy():
+    code = "import sys, autsplit.cli; print('sympy' in sys.modules)"
+    src = str(Path(autsplit.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 def _tamper_first_image(text):
@@ -234,6 +260,21 @@ class TestBatch:
         assert [r["line"] for r in rows] == [1, 2, 3]
         assert "error" in rows[0] and "error" in rows[2]
         assert rows[1]["outcome"] == "Splits"
+
+    def test_workers_print_the_same_bytes(self, runner, tmp_path):
+        f = tmp_path / "in.jsonl"
+        _write_jsonl(f, [
+            {"p": 5, "blocks": [{"n": 2, "r": 2}]},
+            {"p": 2, "blocks": [{"n": 2, "r": 2}]},
+            {"p": 3, "blocks": [{"n": 1, "r": 1}, {"n": 2, "r": 2}]},
+            {"p": 2, "blocks": [{"n": 1, "r": 1}, {"n": 2, "r": 1}]},
+        ])
+        args = ["batch", str(f), "--with-oracle"]
+        serial = runner.invoke(main, args + ["--workers", "1"])
+        parallel = runner.invoke(main, args + ["--workers", "2"])
+        assert serial.exit_code == parallel.exit_code == 0
+        assert len(serial.stdout.splitlines()) == 4
+        assert parallel.stdout == serial.stdout
 
     def test_csv_format(self, runner, tmp_path):
         f = tmp_path / "in.jsonl"

@@ -84,13 +84,15 @@ class TestConstruction:
                                     [((1,),), ((1,),)]])  # cell (2,1) must be even
 
     def test_shape_enforced(self):
-        bad = BlockEndo(spec=SPEC_Z2_Z4, cells=((mx.identity(1),),))
+        bad = BlockEndo(spec=SPEC_Z2_Z4, rows=mx.identity(1))
         with pytest.raises(ShapeMismatch):
             check_hom_constraints(bad)
+        with pytest.raises(ShapeMismatch):
+            block_endo(SPEC_Z2_Z4, [[mx.identity(1)]])
 
     def test_canonical_reduction(self):
         e = block_endo(SPEC_25, [[((26,),)]])
-        assert e.cells[0][0] == ((1,),)
+        assert e.cell(0, 0) == ((1,),)
 
     def test_spec_mismatch(self):
         a = identity_endo(SPEC_Z2_Z4)

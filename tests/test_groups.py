@@ -6,6 +6,7 @@ by one, group orders from listing elements.
 """
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given
@@ -25,6 +26,7 @@ from autsplit.errors import (
 from autsplit.groups import (
     PRIME_TEST_BOUND,
     PGroupSpec,
+    _factorize,
     _is_prime,
     add_elements,
     aut_order,
@@ -36,6 +38,7 @@ from autsplit.groups import (
     group_order,
     neg_element,
     pi_order,
+    primitive_root,
     scale_element,
     spec_from_json,
     spec_to_json,
@@ -125,6 +128,30 @@ class TestPrimality:
         for p in (PRIME_TEST_BOUND, 2 ** 89 - 1):
             with pytest.raises(SpecError, match="bound"):
                 validate_spec(p, [(1, 1)])
+
+
+class TestNumberTheory:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101, 65537])
+    def test_factorize_p_power_minus_one(self, p):
+        for k in range(1, 7):
+            n = p ** k - 1
+            factors = _factorize(n)
+            assert all(_is_prime(q) for q in factors)
+            assert list(factors) == sorted(factors)
+            assert math.prod(q ** m for q, m in factors.items()) == n
+
+    def test_factorize_large_semiprime(self):
+        q1 = next(q for q in itertools.count(2 ** 40 + 1, 2) if _is_prime(q))
+        q2 = next(q for q in itertools.count(2 ** 41 + 1, 2) if _is_prime(q))
+        assert _factorize(q1 * q2) == {q1: 1, q2: 1}
+        assert _factorize(q1 ** 2 * 1000003 * 8) == {2: 3, 1000003: 1, q1: 2}
+
+    def test_primitive_root_is_the_smallest(self):
+        for p in filter(_trial_division, range(500)):
+            smallest = next(
+                g for g in range(1, p)
+                if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
+            assert primitive_root(p) == smallest, p
 
 
 class TestSpecJson:

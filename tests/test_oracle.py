@@ -293,8 +293,12 @@ def _reference_obstruction(spec):
            "orders_histogram": {str(k): v for k, v in sorted(hist.items())},
            "verdict": "OrderPLiftExists" if witness else "NoOrderPLift"}
     if witness is not None:
-        out["witness"] = {"cells": [[[list(r) for r in cell] for cell in row]
-                                    for row in witness.cells]}
+        off = [sum(spec.ranks[:j]) for j in range(spec.num_blocks + 1)]
+        blocks = list(zip(off, off[1:]))
+        out["witness"] = {"cells": [[[list(row[k0:k1])
+                                      for row in witness.rows[j0:j1]]
+                                     for k0, k1 in blocks]
+                                    for j0, j1 in blocks]}
     return out
 
 
