@@ -21,8 +21,7 @@ from .groups import validate_spec
 from .splitting import SectionCertificate, VerificationReport, verify_section
 
 #: What reading, parsing or proving an untrusted cache file can raise.
-_BAD_ENTRY = (OSError, ValueError, KeyError, TypeError, IndexError,
-              AutSplitError)
+_BAD_ENTRY = (OSError, ValueError, AutSplitError)
 
 
 def _read(path: Path) -> SectionCertificate:

@@ -32,6 +32,7 @@ from . import matrices as mx
 from .errors import (
     ConstraintViolation,
     NotAUnit,
+    Overflow,
     PreconditionGap,
     ShapeMismatch,
     SingleBlock,
@@ -139,14 +140,59 @@ def pow_rows(a: Rows, m: int, lay: Layout) -> Rows:
     return result
 
 
-def reduces_to_identity(rows: Rows, lay: Layout) -> bool:
-    """Whether every diagonal cell of the flat matrix is the identity mod p."""
-    p = lay.p
-    for i, (row, (s, t)) in enumerate(zip(rows, lay.spans)):
-        for c in range(s, t):
-            if (row[c] - (c == i)) % p:
-                return False
-    return True
+def cayley_graph(generators, mul, identity, cap: int):
+    """The elements of the group spanned by `generators`, and its Cayley edges.
+
+    Returns (elements, targets): the elements in breadth-first order from
+    `identity`, and a flat list with
+    elements[i] * generators[k] == elements[targets[i * len(generators) + k]].
+    Raises Overflow the moment the group would exceed `cap` elements.
+    """
+    index = {identity: 0}
+    elements = [identity]
+    targets = []
+    for x in elements:  # grows while it is read: breadth-first order
+        for g in generators:
+            y = mul(x, g)
+            j = index.get(y)
+            if j is None:
+                if len(elements) >= cap:
+                    raise Overflow(f"closure exceeds cap {cap}")
+                j = index[y] = len(elements)
+                elements.append(y)
+            targets.append(j)
+    return elements, targets
+
+
+def extend_along(targets, size: int, images, lay: Layout) -> list[Rows] | None:
+    """Extend generator images along the edges of a Cayley graph.
+
+    `targets` and `size` describe a graph from `cayley_graph`, `images` are
+    bare rows, one per generator.  Sets T[0] = 1 and T[j] = T[i] * images[k]
+    for each edge i -> j of generator k, in the graph's order; that order
+    reaches every j > 0 first from some i < j, so T[i] is always known.
+    Returns T, or None at the first edge that reaches a known element with
+    a different value.
+    """
+    moduli = lay.moduli
+    n = len(images)
+    table: list[Rows | None] = [None] * size
+    table[0] = lay.identity
+    for i, x in enumerate(table):
+        for h, j in zip(images, targets[i * n:(i + 1) * n]):
+            y = mul_rows(x, h, moduli)
+            known = table[j]
+            if known is None:
+                table[j] = y
+            elif known != y:
+                return None
+    return table
+
+
+def mats_mul(a: tuple[Matrix, ...], b: tuple[Matrix, ...],
+             p: int) -> tuple[Matrix, ...]:
+    """The blockwise product of two tuples of matrices over F_p."""
+    return tuple([mul_rows(x, y, itertools.repeat(p)) for x, y in zip(a, b)])
 
 
 # --- construction and validation ---
@@ -181,20 +227,37 @@ def check_hom_constraints(e: BlockEndo) -> bool:
     return _divisibility_violation(e.spec, e.rows) is None
 
 
+def _is_grid(obj, r: int, c: int) -> bool:
+    """Whether obj is a list (or tuple) of r lists (or tuples) of c items."""
+    return (isinstance(obj, (list, tuple)) and len(obj) == r
+            and all(isinstance(row, (list, tuple)) and len(row) == c
+                    for row in obj))
+
+
+def _check_matrix(obj, r: int, c: int, what: str) -> None:
+    """ShapeMismatch unless obj is an r x c grid, ConstraintViolation unless
+    its entries are ints (a bool or a float is not one)."""
+    if not _is_grid(obj, r, c):
+        raise ShapeMismatch(f"{what} is not {r}x{c}")
+    if any(type(x) is not int for row in obj for x in row):
+        raise ConstraintViolation(
+            f"{what} has an entry that is not an integer")
+
+
 def block_endo(spec: PGroupSpec, cells) -> BlockEndo:
     """Validate a raw [target][source] cell grid and canonicalize it.
 
     Raises ShapeMismatch for a grid or cell of the wrong shape and
-    ConstraintViolation, naming the cell, for a divisibility violation.
+    ConstraintViolation, naming the cell, for an entry that is not an int
+    or a divisibility violation.
     """
     R = spec.num_blocks
-    if len(cells) != R or any(len(row) != R for row in cells):
+    if not _is_grid(cells, R, R):
         raise ShapeMismatch(f"expected a {R}x{R} cell grid")
     rows = []
     for j, (row, rj, m) in enumerate(zip(cells, spec.ranks, spec.moduli)):
         for k, (cell, rk) in enumerate(zip(row, spec.ranks)):
-            if len(cell) != rj or any(len(r) != rk for r in cell):
-                raise ShapeMismatch(f"cell ({j},{k}) is not {rj}x{rk}")
+            _check_matrix(cell, rj, rk, f"cell ({j},{k})")
         rows += [tuple(x % m for cell in row for x in cell[a])
                  for a in range(rj)]
     rows = tuple(rows)
@@ -286,9 +349,7 @@ def identity_q(spec: PGroupSpec) -> QElement:
 def q_mul(a: QElement, b: QElement) -> QElement:
     if a.p != b.p or len(a.mats) != len(b.mats):
         raise SpecMismatch("tuple elements of different shapes")
-    return QElement(p=a.p, mats=tuple(
-        mx.mat_mul(x, y, a.p) for x, y in zip(a.mats, b.mats)
-    ))
+    return QElement(p=a.p, mats=mats_mul(a.mats, b.mats, a.p))
 
 
 def q_is_invertible(q: QElement) -> bool:
@@ -299,11 +360,11 @@ def q_order(q: QElement) -> int:
     """Multiplicative order of an invertible tuple; iterative, desk scale."""
     if not q_is_invertible(q):
         raise NotAUnit("tuple is not invertible mod p")
-    ident = QElement(p=q.p, mats=tuple(mx.identity(len(m)) for m in q.mats))
-    x = q
+    ident = tuple(mx.identity(len(m)) for m in q.mats)
+    x = q.mats
     o = 1
     while x != ident:
-        x = q_mul(x, q)
+        x = mats_mul(x, q.mats, q.p)
         o += 1
     return o
 
@@ -384,7 +445,12 @@ def in_delta(e: BlockEndo) -> bool:
     Equivalent formulations: e is a unit with trivial reduction, or
     e - identity has all diagonal cells vanishing mod p.
     """
-    return reduces_to_identity(e.rows, layout(e.spec))
+    lay = layout(e.spec)
+    for i, (row, (s, t)) in enumerate(zip(e.rows, lay.spans)):
+        for c in range(s, t):
+            if (row[c] - (c == i)) % lay.p:
+                return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -520,10 +586,9 @@ def q_to_json(q: QElement) -> list:
 
 
 def q_from_json(spec: PGroupSpec, obj: list) -> QElement:
-    if len(obj) != spec.num_blocks:
+    """Read a list of block matrices, validated as `block_endo` validates."""
+    if not isinstance(obj, (list, tuple)) or len(obj) != spec.num_blocks:
         raise ShapeMismatch("wrong number of block matrices")
-    mats = tuple(mx.mat(m, spec.p) for m in obj)
-    for m, r in zip(mats, spec.ranks):
-        if mx.shape(m) != (r, r):
-            raise ShapeMismatch(f"block matrix has shape {mx.shape(m)}")
-    return QElement(p=spec.p, mats=mats)
+    for i, (m, r) in enumerate(zip(obj, spec.ranks)):
+        _check_matrix(m, r, r, f"block matrix {i}")
+    return QElement(p=spec.p, mats=tuple(mx.mat(m, spec.p) for m in obj))

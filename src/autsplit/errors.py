@@ -42,7 +42,7 @@ class SpecMismatch(AutSplitError):
 
 
 class ConstraintViolation(AutSplitError):
-    """A divisibility (Hom) constraint is violated."""
+    """An entry is not an integer, or a divisibility (Hom) constraint fails."""
 
 
 class NotAUnit(AutSplitError):
@@ -82,10 +82,7 @@ class OracleBudgetExceeded(BudgetExceeded):
 
 
 class Overflow(AutSplitError):
-    """Subgroup closure exceeded its cap.
-
-    Expected control flow during pruned searches, not a failure.
-    """
+    """A Cayley graph (`endo.cayley_graph`) grew past its cap."""
 
 
 # --- splitting / certificates ---

@@ -30,10 +30,6 @@ def shape(a: Matrix) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
 
 
-def mat_scale(c: int, a: Matrix, m: int) -> Matrix:
-    return tuple(tuple((c * x) % m for x in row) for row in a)
-
-
 def mat_mul(a: Matrix, b: Matrix, m: int) -> Matrix:
     """a @ b mod m; the integer sums are exact before reduction."""
     ra, ca = shape(a)
@@ -45,17 +41,6 @@ def mat_mul(a: Matrix, b: Matrix, m: int) -> Matrix:
         tuple(sum(x * y for x, y in zip(row, col)) % m for col in bt)
         for row in a
     )
-
-
-def mat_vec(a: Matrix, v: tuple[int, ...], m: int) -> tuple[int, ...]:
-    ra, ca = shape(a)
-    if ca != len(v):
-        raise ShapeMismatch(f"cannot apply {shape(a)} to vector of length {len(v)}")
-    return tuple(sum(x * y for x, y in zip(row, v)) % m for row in a)
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
 
 
 def det_mod_p(a: Matrix, p: int) -> int:

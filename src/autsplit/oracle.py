@@ -6,8 +6,10 @@ membership by direct enumeration, and splitting by an exhaustive search over
 generator lifts.  The two proofs that sweep the whole kernel Delta (the
 coset obstruction and the lift search) hold it as one (N, D, D) array and
 apply each operation to all N elements at once; `enumerate_delta` still
-yields them one by one, in the same odometer order.  Budgets are explicit
-and enumeration order is fixed, so every run is reproducible.
+yields them one by one, in the same odometer order.  The lift search tests
+each assignment with the walk that also proves a section certificate
+(`endo.extend_along` over the quotient's `endo.cayley_graph`).  Budgets are
+explicit and enumeration order is fixed, so every run is reproducible.
 """
 
 from __future__ import annotations
@@ -24,23 +26,25 @@ from . import matrices as mx
 from .endo import (
     BlockEndo,
     QElement,
+    Rows,
     add_endos,
-    compose,
+    cayley_graph,
+    extend_along,
     identity_endo,
+    identity_q,
     is_automorphism,
     layout,
+    mats_mul,
     mul_rows,
     pow_endo,
     pow_rows,
     q_mul,
     q_order,
-    reduces_to_identity,
     zero_endo,
 )
 from .errors import (
     BudgetExceeded,
     NotAUnit,
-    Overflow,
     PreconditionViolation,
     RankTooSmall,
 )
@@ -54,7 +58,6 @@ from .groups import (
     pi_order,
     primitive_root,
 )
-from .matrices import Matrix
 
 #: Default cap on the number of lift assignments tried by the search.
 DEFAULT_ASSIGNMENT_BUDGET = 2 ** 22
@@ -324,65 +327,7 @@ def bijective_equivalence_report(spec: PGroupSpec, samples: int = 10_000,
     return AgreementReport(spec, checked, bad, exhaustive=False, seed=seed)
 
 
-# --- subgroup closure ---
-
-def dimino_closure(generators, cap: int, mul=None, identity=None):
-    """Incrementally generate the subgroup spanned by `generators`.
-
-    Aborts with Overflow the moment the size would exceed `cap` (expected
-    control flow during pruned searches).  The element type is inferred for
-    the two common cases; pass mul/identity explicitly otherwise.
-    """
-    generators = list(generators)
-    if mul is None or identity is None:
-        if not generators:
-            raise ValueError("need generators or explicit mul/identity")
-        g0 = generators[0]
-        if isinstance(g0, BlockEndo):
-            mul, identity = compose, identity_endo(g0.spec)
-        elif isinstance(g0, QElement):
-            mul, identity = q_mul, QElement(
-                p=g0.p, mats=tuple(mx.identity(len(m)) for m in g0.mats))
-        else:
-            raise TypeError(f"cannot infer group operation for {type(g0)}")
-    seen = {identity}
-    elems = [identity]
-    frontier = [identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in generators:
-                y = mul(x, g)
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise Overflow(f"closure exceeds cap {cap}")
-                    seen.add(y)
-                    elems.append(y)
-                    new.append(y)
-        frontier = new
-    return elems
-
-
 # --- generators of the quotient product ---
-
-@dataclass(frozen=True)
-class GeneratorSearchResult:
-    generators: tuple[QElement, ...]
-    seed: int
-    per_block: tuple[int, ...]  # number of generators contributed per block
-
-
-def _matrix_order_mod_p(a: Matrix, p: int, cap: int) -> int:
-    ident = mx.identity(len(a))
-    x = a
-    o = 1
-    while x != ident:
-        x = mx.mat_mul(x, a, p)
-        o += 1
-        if o > cap:
-            raise RuntimeError("order exceeds group order; not invertible?")
-    return o
-
 
 def _gl_generators(p: int, r: int, rng: random.Random):
     """Generators of GL_r(F_p): at most two, found by seeded random search,
@@ -397,15 +342,12 @@ def _gl_generators(p: int, r: int, rng: random.Random):
     if r == 1:
         return [((primitive_root(p),),)]
     ident = mx.identity(r)
+    moduli = (p,) * r
 
-    def closure_size_is(mats, cap):
-        try:
-            got = dimino_closure(mats, cap,
-                                 mul=lambda a, b: mx.mat_mul(a, b, p),
-                                 identity=ident)
-        except Overflow:
-            return False
-        return len(got) == cap
+    def generates(mats):  # a subgroup of GL_r(F_p): never past the cap
+        elements, _ = cayley_graph(
+            mats, lambda a, b: mul_rows(a, b, moduli), ident, cap=target)
+        return len(elements) == target
 
     def random_invertible():
         while True:
@@ -418,9 +360,9 @@ def _gl_generators(p: int, r: int, rng: random.Random):
         for _ in range(400 if want_p_prime else 200):
             pair = [random_invertible(), random_invertible()]
             if want_p_prime and any(
-                    _matrix_order_mod_p(m, p, target) % p == 0 for m in pair):
+                    q_order(QElement(p=p, mats=(m,))) % p == 0 for m in pair):
                 continue
-            if closure_size_is(pair, target):
+            if generates(pair):
                 return pair
     # fallback: all elementary transvections plus diag(zeta, 1, ..., 1)
     gens = []
@@ -433,35 +375,32 @@ def _gl_generators(p: int, r: int, rng: random.Random):
     d = [list(row) for row in ident]
     d[0][0] = primitive_root(p)
     gens.append(tuple(tuple(row) for row in d))
-    if not closure_size_is(gens, target):
+    if not generates(gens):
         raise RuntimeError("fallback generators failed to generate")
     return gens
 
 
+@lru_cache(maxsize=None)
 def find_generators_of_Q(spec: PGroupSpec, seed: int = 0,
                          closure_budget: int = DEFAULT_ELEMENT_BUDGET,
-                         ) -> GeneratorSearchResult:
+                         ) -> tuple[QElement, ...]:
     """A generating set of the product of blockwise GL groups.
 
     Per-block generators (closure-verified, at most two per block for ranks
     >= 2) embedded with identity matrices elsewhere.  Deterministic for a
-    fixed seed.
+    fixed seed, so the result is cached per (spec, seed, closure_budget).
     """
     if pi_order(spec) > closure_budget:
         raise BudgetExceeded("quotient too large to verify generators")
     rng = random.Random(seed)
     gens: list[QElement] = []
-    per_block = []
     idents = [mx.identity(r) for r in spec.ranks]
     for i, (_, r) in enumerate(spec.blocks):
-        block_gens = _gl_generators(spec.p, r, rng)
-        per_block.append(len(block_gens))
-        for g in block_gens:
+        for g in _gl_generators(spec.p, r, rng):
             mats = list(idents)
             mats[i] = g
             gens.append(QElement(p=spec.p, mats=tuple(mats)))
-    return GeneratorSearchResult(generators=tuple(gens), seed=seed,
-                                 per_block=tuple(per_block))
+    return tuple(gens)
 
 
 # --- complement search over generator lifts ---
@@ -510,30 +449,42 @@ def _diagonal_int_lift(spec: PGroupSpec, q: QElement) -> BlockEndo:
     return BlockEndo(spec=spec, rows=tuple(map(tuple, grid)))
 
 
-def _complement_closure_ok(hs, spec: PGroupSpec, cap: int) -> bool:
-    """Closure of the flat matrices `hs`, with early aborts.
+def _lift_candidates(spec: PGroupSpec, gens: tuple[QElement, ...],
+                     delta_budget: int) -> list[list[Rows]] | None:
+    """Per generator g, the lifts of g that a section may choose, as rows.
 
-    Any kernel hit or size overflow fails.  Runs on bare rows through
-    `mul_rows`, the product `compose` uses, without BlockEndo objects.
+    These are the h in lift(g) * Delta with h^ord(g) = 1, and for the first
+    generator one h per kernel-conjugacy class; None when some generator
+    has no such lift.  Both filters run batched, over Delta as one
+    (N, D, D) array: the orbit of h is d^-1 * h * d for all d at once, with
+    d^-1 = d^(|Delta| - 1) (Lagrange) checked by d * d^-1 = 1.  Rows stay in
+    the odometer order of `enumerate_delta`, so the candidates are those of
+    the element-by-element search.  The arithmetic is exact in int64 while
+    D * (p^n_R - 1)^2 < 2^63, and runs on Python ints (dtype=object) past
+    that bound.
     """
-    lay = layout(spec)
-    mods = lay.moduli
-    seen = {lay.identity}
-    frontier = [lay.identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in hs:
-                y = mul_rows(x, g, mods)
-                if y not in seen:
-                    if reduces_to_identity(y, lay):
-                        return False
-                    if len(seen) >= cap:
-                        return False
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return len(seen) == cap
+    deltas = _delta_array(spec, budget=delta_budget)
+    stacks = []
+    for g in gens:
+        hs = _bmul(spec, _flat(_diagonal_int_lift(spec, g)), deltas)
+        hs = hs[_is_identity(spec, _bpow(spec, hs, q_order(g)))]
+        if not len(hs):
+            return None
+        stacks.append(hs)
+
+    delta_invs = _bpow(spec, deltas, len(deltas) - 1)
+    if not _is_identity(spec, _bmul(spec, deltas, delta_invs)).all():
+        raise NotAUnit("a kernel element failed its inverse check")
+    reps0 = []
+    seen = set()
+    for h in stacks[0]:
+        if tuple(h.reshape(-1).tolist()) in seen:
+            continue
+        reps0.append(h)
+        orbit = _bmul(spec, _bmul(spec, delta_invs, h), deltas)
+        seen.update(map(tuple, orbit.reshape(len(orbit), -1).tolist()))
+    stacks[0] = reps0
+    return [[tuple(map(tuple, h.tolist())) for h in hs] for hs in stacks]
 
 
 def complement_lift_search(spec: PGroupSpec,
@@ -552,21 +503,21 @@ def complement_lift_search(spec: PGroupSpec,
     complement.  Trying every assignment is therefore a complete decision
     procedure: NotFound after exhaustion proves non-splitting.
 
+    The test of an assignment is the walk that proves a section certificate
+    (`verify_section`): the quotient's Cayley graph on the generators is
+    built once, and `extend_along` walks the assignment along its edges.
+    Given sigma(h_g) = g, the h_g span a subgroup of order |Q| that meets
+    the kernel trivially exactly when g -> h_g extends along every edge to
+    a homomorphism Q -> Aut(G).
+
     Pruning, all soundness-preserving: lifts must have the same order as the
     generator they cover (a complement forces this); the first generator's
     lift is only tried up to kernel-conjugacy (conjugating a complement by a
     kernel element yields another complement); for each assignment the
-    pairwise product orders are checked before running the closure.
-
-    The order filter and the conjugacy orbits are evaluated batched, over
-    Delta as one (N, D, D) array: the candidates for g are the rows of
-    lift(g) * Delta with h^ord(g) = 1, and the orbit of h is
-    d^-1 * h * d for all d at once, with d^-1 = d^(|Delta| - 1) (Lagrange)
-    checked by d * d^-1 = 1.  Rows stay in the odometer order of
-    `enumerate_delta`, so candidates, assignments and results are those of
-    the element-by-element search.  The arithmetic is exact in int64 while
-    D * (p^n_R - 1)^2 < 2^63, and runs on Python ints (dtype=object) past
-    that bound.
+    pairwise product orders are checked before the walk.  The pre-check
+    stays: it costs a few products per assignment and rejects most of them
+    before any walk (on (Z/p^2)^2, 110 of 121 for p = 11 and all 25 for
+    p = 5, so that search never builds the graph).
     """
     start = time.monotonic()
     pi = pi_order(spec)
@@ -585,38 +536,16 @@ def complement_lift_search(spec: PGroupSpec,
         except (RankTooSmall, BudgetExceeded):
             pass
 
-    gen_res = find_generators_of_Q(spec, seed=seed,
-                                   closure_budget=closure_budget)
-    gens = gen_res.generators
+    gens = find_generators_of_Q(spec, seed=seed,
+                                closure_budget=closure_budget)
     if not gens:  # trivial quotient: the identity is a complement
         return SearchResult(spec, "Found", "trivial quotient",
                             generators=(), images=(), seed=seed)
 
-    deltas = _delta_array(spec, budget=delta_budget)
-
-    stacks = []
-    for g in gens:
-        hs = _bmul(spec, _flat(_diagonal_int_lift(spec, g)), deltas)
-        hs = hs[_is_identity(spec, _bpow(spec, hs, q_order(g)))]
-        if not len(hs):
-            return SearchResult(spec, "NotFound", "exhausted",
-                                assignments_tried=0, seed=seed)
-        stacks.append(hs)
-
-    # first generator up to kernel-conjugacy; d^-1 = d^(|Delta| - 1)
-    delta_invs = _bpow(spec, deltas, len(deltas) - 1)
-    if not _is_identity(spec, _bmul(spec, deltas, delta_invs)).all():
-        raise NotAUnit("a kernel element failed its inverse check")
-    reps0 = []
-    seen = set()
-    for h in stacks[0]:
-        if tuple(h.reshape(-1).tolist()) in seen:
-            continue
-        reps0.append(h)
-        orbit = _bmul(spec, _bmul(spec, delta_invs, h), deltas)
-        seen.update(map(tuple, orbit.reshape(len(orbit), -1).tolist()))
-    stacks[0] = reps0
-    candidates = [[tuple(map(tuple, h.tolist())) for h in hs] for hs in stacks]
+    candidates = _lift_candidates(spec, gens, delta_budget)
+    if candidates is None:
+        return SearchResult(spec, "NotFound", "exhausted",
+                            assignments_tried=0, seed=seed)
 
     # ord(xy) = ord(yx), so unordered pairs suffice for the pre-check
     pair_orders = {}
@@ -625,6 +554,7 @@ def complement_lift_search(spec: PGroupSpec,
             pair_orders[(i, j)] = q_order(q_mul(gens[i], gens[j]))
 
     lay = layout(spec)
+    graph = None  # built at the first walk: the pre-check may reject all
     tried = 0
     for assignment in itertools.product(*candidates):
         tried += 1
@@ -638,7 +568,12 @@ def complement_lift_search(spec: PGroupSpec,
                         o, lay) != lay.identity
                for (i, j), o in pair_orders.items()):
             continue
-        if _complement_closure_ok(assignment, spec, pi):
+        if graph is None:
+            graph = cayley_graph([g.mats for g in gens],
+                                 lambda a, b: mats_mul(a, b, spec.p),
+                                 identity_q(spec).mats, cap=pi)
+        elements, targets = graph
+        if extend_along(targets, len(elements), assignment, lay) is not None:
             images = tuple(BlockEndo(spec=spec, rows=h) for h in assignment)
             return SearchResult(spec, "Found", "exhaustive lift search",
                                 generators=gens, images=images,

@@ -27,12 +27,15 @@ from .endo import (
     BlockEndo,
     QElement,
     block_endo,
+    cayley_graph,
     compose,
     endo_from_json,
     endo_to_json,
-    identity_endo,
+    extend_along,
     identity_q,
+    layout,
     q_from_json,
+    q_is_invertible,
     q_mul,
     q_to_json,
     sigma,
@@ -41,6 +44,7 @@ from .errors import (
     MissingBlockSection,
     NotSplitBlock,
     OracleBudgetExceeded,
+    Overflow,
     VerificationFailed,
 )
 from .groups import (
@@ -237,6 +241,14 @@ class SectionCertificate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SectionCertificate":
+        """Read a certificate; malformed input raises an AutSplitError."""
+        if (not isinstance(obj, dict) or "spec" not in obj
+                or not isinstance(obj.get("generators"), list)
+                or not isinstance(obj.get("images"), list)
+                or not isinstance(obj.get("verification", {}), dict)):
+            raise VerificationFailed(
+                "certificate JSON needs 'spec', lists 'generators' and "
+                "'images', and an optional object 'verification'")
         spec = spec_from_json(obj["spec"])
         generators = tuple(q_from_json(spec, g) for g in obj["generators"])
         images = tuple(endo_from_json(spec, e) for e in obj["images"])
@@ -245,34 +257,28 @@ class SectionCertificate:
 
 
 def section_table(cert: SectionCertificate) -> dict[QElement, BlockEndo]:
-    """Extend the generator images to the whole quotient by words.
+    """Extend the generator images to the whole quotient along Cayley edges.
 
-    Breadth-first products; a conflicting value for an already-seen quotient
-    element means the images do not define a map at all.
+    The Cayley graph of the generators (`cayley_graph`, capped at |Q|) must
+    have |Q| elements, and the images must extend along its every edge
+    (`extend_along`); otherwise the images do not define a map on Q.
     """
     spec = cert.spec
-    table = {identity_q(spec): identity_endo(spec)}
-    frontier = [identity_q(spec)]
-    while frontier:
-        new = []
-        for q in frontier:
-            for g, img in zip(cert.generators, cert.images):
-                qq = q_mul(q, g)
-                ee = compose(table[q], img)
-                if qq in table:
-                    if table[qq] != ee:
-                        raise VerificationFailed(
-                            "generator images are inconsistent",
-                            counterexample=(q, g))
-                else:
-                    table[qq] = ee
-                    new.append(qq)
-        frontier = new
     expected = pi_order(spec)
-    if len(table) != expected:
-        raise VerificationFailed(
-            f"images generate {len(table)} quotient elements, expected {expected}")
-    return table
+    try:
+        elements, targets = cayley_graph(cert.generators, q_mul,
+                                         identity_q(spec), cap=expected)
+    except Overflow as exc:
+        raise VerificationFailed(f"generators: {exc}") from None
+    if len(elements) != expected:
+        raise VerificationFailed(f"generators span {len(elements)} quotient "
+                                 f"elements, expected {expected}")
+    values = extend_along(targets, len(elements),
+                          [img.rows for img in cert.images], layout(spec))
+    if values is None:
+        raise VerificationFailed("generator images are inconsistent")
+    return {q: BlockEndo(spec=spec, rows=rows)
+            for q, rows in zip(elements, values)}
 
 
 @dataclass(frozen=True)
@@ -299,15 +305,16 @@ def verify_section(cert: SectionCertificate, mode: str = "cayley-edges",
 
     Raises VerificationFailed on the first failed check.  The default mode,
     "cayley-edges", is a complete proof by induction on word length.  Let S
-    be the generators and T the map that `section_table` builds from their
-    images by breadth-first products:
+    be the generators, each checked to be invertible, so that they span a
+    subgroup of Q.  `section_table` builds the Cayley graph of S
+    (`cayley_graph`) and walks the images along it (`extend_along`), which
+    defines the map T:
 
-      * T(1) = 1, because the table is seeded with the identity;
+      * T(1) = 1, because the walk starts there;
       * edges: T(q*g) = T(q)*T(g) for every quotient element q and every g
-        in S, because every element lies in exactly one frontier and is
-        multiplied there by every generator (an edge that meets a known
-        element with another value fails);
-      * size: the table holds |Q| elements, so every q is a word in S.
+        in S, because the walk takes every edge of the graph once (an edge
+        that meets a known element with another value fails);
+      * size: the graph holds |Q| elements, so every q is a word in S.
 
     For q2 = g1...gk, induction on k with the edge at q1*g1...g(k-1) and
     at g1...g(k-1) gives T(q1*q2) = T(q1)*T(q2) for every pair, and
@@ -326,6 +333,9 @@ def verify_section(cert: SectionCertificate, mode: str = "cayley-edges",
         raise VerificationFailed(
             f"{len(cert.generators)} generators but {len(cert.images)} images")
     for g, img in zip(cert.generators, cert.images):
+        if not q_is_invertible(g):
+            raise VerificationFailed("generator is not invertible mod p",
+                                     counterexample=g)
         if sigma(img) != g:
             raise VerificationFailed("image does not reduce to its generator",
                                      counterexample=g)
@@ -374,9 +384,9 @@ def assemble_section(spec: PGroupSpec,
                 f"section for block {i} has parameters "
                 f"({s.p},{s.n},{s.r}), expected ({spec.p},{n},{r})")
 
-    gen_res = find_generators_of_Q(spec, seed=seed)
+    generators = find_generators_of_Q(spec, seed=seed)
     images = []
-    for q in gen_res.generators:
+    for q in generators:
         cells = []
         for j, rj in enumerate(spec.ranks):
             row = []
@@ -389,7 +399,7 @@ def assemble_section(spec: PGroupSpec,
         images.append(block_endo(spec, cells))
     return SectionCertificate(
         spec=spec,
-        generators=gen_res.generators,
+        generators=generators,
         images=tuple(images),
         verification={"mode": "unverified", "pairs": 0},
     )

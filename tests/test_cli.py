@@ -89,6 +89,17 @@ def _tamper_first_image(text):
     return json.dumps(obj)
 
 
+def _float_entries(text):
+    """Write every generator and image entry as a float: 1 becomes 1.0."""
+    def floats(x):
+        return [floats(y) for y in x] if isinstance(x, list) else float(x)
+
+    obj = json.loads(text)
+    obj["generators"] = floats(obj["generators"])
+    obj["images"] = [{"cells": floats(img["cells"])} for img in obj["images"]]
+    return json.dumps(obj)
+
+
 class TestSection:
     def test_certificate_output(self, runner, tmp_path):
         out = tmp_path / "cert.json"
@@ -127,7 +138,9 @@ class TestSection:
         # a proved certificate, but for another block
         lambda text: json.dumps(build_verified_section(
             validate_spec(2, [(1, 2)]))[0].to_json()),
-    ], ids=["truncated", "not-json", "fails-proof", "other-block"])
+        _float_entries,
+    ], ids=["truncated", "not-json", "fails-proof", "other-block",
+            "float-entries"])
     def test_bad_cache_entry_is_a_miss(self, runner, tmp_path, corrupt):
         cache = tmp_path / "cache"
         args = ["section", "-p", "2", "-b", "2:2", "--cache-dir", str(cache)]
@@ -140,6 +153,7 @@ class TestSection:
         res = runner.invoke(main, args)
         assert res.exit_code == 0
         assert res.stderr.count("warning: ignoring cache entry") == 1
+        assert entry.read_text() == good  # rewritten, with int entries
         cert = SectionCertificate.from_json(json.loads(entry.read_text()))
         assert cert.spec == validate_spec(2, [(2, 2)])
         assert verify_section(cert).ok

@@ -386,3 +386,21 @@ class TestSerialization:
         for spec in ORACLE_SPECS:
             q = sigma(random_unit(spec, rng))
             assert q_from_json(spec, q_to_json(q)) == q
+
+    @pytest.mark.parametrize("entry", [1.0, True, "1", None, [1]])
+    def test_entries_must_be_ints(self, entry):
+        with pytest.raises(ConstraintViolation, match="not an integer"):
+            endo_from_json(SPEC_Z2_Z4, {"cells": [[[[entry]], [[0]]],
+                                                  [[[0]], [[1]]]]})
+        with pytest.raises(ConstraintViolation, match="not an integer"):
+            q_from_json(SPEC_Z2_Z4, [[[1]], [[entry]]])
+
+    @pytest.mark.parametrize("obj", [
+        None, 1, "ab", [[[[1]], [[0]]]], [[[1, 0]], [[0]]], [[1, 0], [0, 1]],
+        [[[[1]], [[0]]], [[[0]], [[1]]], [[[0]], [[1]]]],
+    ])
+    def test_cell_grid_nesting(self, obj):
+        with pytest.raises(ShapeMismatch):
+            block_endo(SPEC_Z2_Z4, obj)
+        with pytest.raises(ShapeMismatch):
+            q_from_json(SPEC_Z2_Z4, obj)

@@ -1,6 +1,7 @@
 """The brute-force layer itself, checked against pure-python recomputation."""
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -9,13 +10,19 @@ import pytest
 
 from autsplit import matrices as mx
 from autsplit.endo import (
+    BlockEndo,
     add_endos,
+    cayley_graph,
     check_hom_constraints,
     compose,
     element_order,
+    extend_along,
     identity_endo,
+    identity_q,
     in_delta,
     is_automorphism,
+    layout,
+    mul_rows,
     pow_endo,
     sigma,
 )
@@ -31,6 +38,7 @@ from autsplit.groups import (
 from autsplit.oracle import (
     _bmul,
     _delta_array,
+    _diagonal_int_lift,
     _flat,
     _layout,
     _transvection_perturbation,
@@ -40,7 +48,6 @@ from autsplit.oracle import (
     brute_force_is_bijective,
     complement_lift_search,
     count_bijective_endos,
-    dimino_closure,
     endo_count,
     enumerate_delta,
     enumerate_endos,
@@ -149,25 +156,28 @@ class TestClosure:
     # primitive root 2 is needed to reach all of GL_2(F_3)
     GENS = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((2, 0), (0, 1))]
 
+    @staticmethod
+    def graph(gens, cap):
+        return cayley_graph(gens, lambda a, b: mx.mat_mul(a, b, 3),
+                            mx.identity(2), cap=cap)
+
     def test_gl2_f3_closure(self):
-        elems = dimino_closure(
-            self.GENS, cap=100,
-            mul=lambda a, b: mx.mat_mul(a, b, 3),
-            identity=mx.identity(2))
+        elems, targets = self.graph(self.GENS, cap=100)
         assert len(elems) == gl_order(3, 2) == 48
+        assert elems[0] == mx.identity(2)
+        k = len(self.GENS)
+        assert len(targets) == len(elems) * k
+        for i, x in enumerate(elems):
+            for j, g in enumerate(self.GENS):
+                assert elems[targets[i * k + j]] == mx.mat_mul(x, g, 3)
 
     def test_sl_subgroup_without_diagonal(self):
-        elems = dimino_closure(
-            self.GENS[:2], cap=100,
-            mul=lambda a, b: mx.mat_mul(a, b, 3),
-            identity=mx.identity(2))
+        elems, _ = self.graph(self.GENS[:2], cap=100)
         assert len(elems) == 24  # index 2: the determinant-1 subgroup
 
     def test_overflow(self):
         with pytest.raises(Overflow):
-            dimino_closure(self.GENS, cap=10,
-                           mul=lambda a, b: mx.mat_mul(a, b, 3),
-                           identity=mx.identity(2))
+            self.graph(self.GENS, cap=10)
 
 
 class TestGenerators:
@@ -177,16 +187,86 @@ class TestGenerators:
         validate_spec(5, [(1, 1), (2, 1)]),
     ], ids=lambda s: s.describe())
     def test_generate_whole_quotient(self, spec):
-        res = find_generators_of_Q(spec, seed=0)
-        from autsplit.endo import identity_q
-        elems = dimino_closure(list(res.generators), cap=pi_order(spec),
-                               mul=q_mul, identity=identity_q(spec))
+        gens = find_generators_of_Q(spec, seed=0)
+        elems, _ = cayley_graph(gens, q_mul, identity_q(spec),
+                                cap=pi_order(spec))
         assert len(elems) == pi_order(spec)
 
     def test_deterministic(self):
+        # against the uncached function, so the cache cannot pass it alone
         spec = validate_spec(3, [(2, 2)])
-        assert (find_generators_of_Q(spec, seed=5).generators
-                == find_generators_of_Q(spec, seed=5).generators)
+        assert (find_generators_of_Q(spec, seed=5)
+                == find_generators_of_Q.__wrapped__(spec, seed=5))
+
+
+def _closure_accepts(hs, spec):
+    """Reference for the walk: a BFS of <h> on bare rows.
+
+    Rejects at a non-identity element that reduces to 1 mod p (a kernel
+    element) or past |Q| elements; accepts when <h> has exactly |Q|.
+    """
+    lay = layout(spec)
+    cap = pi_order(spec)
+    seen = {lay.identity}
+    frontier = [lay.identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for h in hs:
+                y = mul_rows(x, h, lay.moduli)
+                if y in seen:
+                    continue
+                if in_delta(BlockEndo(spec, y)) or len(seen) >= cap:
+                    return False
+                seen.add(y)
+                new.append(y)
+        frontier = new
+    return len(seen) == cap
+
+
+class TestWalkEquivalence:
+    """The lift search's walk accepts exactly what the subgroup closure does.
+
+    An assignment gives generator g the image lift(g) * d, d in Delta.
+    """
+
+    @staticmethod
+    def walk_and_cosets(spec):
+        gens = find_generators_of_Q(spec)
+        elements, targets = cayley_graph(gens, q_mul, identity_q(spec),
+                                         cap=pi_order(spec))
+        lay = layout(spec)
+
+        def walk_accepts(hs):
+            return extend_along(targets, len(elements), hs, lay) is not None
+
+        cosets = [[compose(_diagonal_int_lift(spec, g), d).rows
+                   for d in enumerate_delta(spec)] for g in gens]
+        return walk_accepts, cosets
+
+    @pytest.mark.parametrize("p,blocks,accepted", [
+        (2, [(2, 2)], 8), (3, [(2, 2)], 27),
+    ])
+    def test_every_assignment(self, p, blocks, accepted):
+        spec = validate_spec(p, blocks)
+        walk_accepts, cosets = self.walk_and_cosets(spec)
+        verdicts = [(walk_accepts(hs), _closure_accepts(hs, spec))
+                    for hs in itertools.product(*cosets)]
+        assert len(verdicts) == delta_order(spec) ** len(cosets)
+        assert all(walk == closure for walk, closure in verdicts)
+        assert sum(walk for walk, _ in verdicts) == accepted
+
+    def test_sample_with_the_found_assignment(self):
+        spec = validate_spec(2, [(1, 1), (2, 2)])
+        walk_accepts, cosets = self.walk_and_cosets(spec)
+        found = complement_lift_search(spec)
+        assert found.outcome == "Found"
+        sample = [tuple(e.rows for e in found.images)]
+        rng = random.Random(0)
+        sample += [tuple(rng.choice(c) for c in cosets) for _ in range(3000)]
+        assert all(walk_accepts(hs) == _closure_accepts(hs, spec)
+                   for hs in sample)
+        assert walk_accepts(sample[0])
 
 
 class TestComplementSearch:

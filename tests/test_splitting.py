@@ -208,6 +208,27 @@ class TestCertificates:
         with pytest.raises(VerificationFailed):
             verify_section(swapped)
 
+    def test_singular_generator_caught(self):
+        # (Z/9): the zero map "lifts" the singular 0 mod 3, and {1, 0} has
+        # as many elements as GL_1(F_3), so only invertibility rules it out
+        cert = SectionCertificate.from_json({
+            "spec": {"p": 3, "blocks": [{"n": 2, "r": 1}]},
+            "generators": [[[[0]]]], "images": [{"cells": [[[[0]]]]}]})
+        with pytest.raises(VerificationFailed, match="not invertible"):
+            verify_section(cert)
+
+    @pytest.mark.parametrize("obj", [
+        None, [], "cert", {"generators": [], "images": []},
+        {"spec": {"p": 2, "blocks": [{"n": 1, "r": 1}]}, "images": []},
+        {"spec": {"p": 2, "blocks": [{"n": 1, "r": 1}]}, "generators": 1,
+         "images": []},
+        {"spec": {"p": 2, "blocks": [{"n": 1, "r": 1}]}, "generators": [],
+         "images": [], "verification": "ok"},
+    ])
+    def test_malformed_certificate_json(self, obj):
+        with pytest.raises(VerificationFailed):
+            SectionCertificate.from_json(obj)
+
     def test_section_table_respects_sigma(self):
         spec = validate_spec(2, [(2, 2)])
         cert, _ = build_verified_section(spec)
