@@ -4,9 +4,10 @@ One JSON file per searched block section, keyed by (p, n, r); elementary and
 rank-1 blocks have closed-form sections and are never stored.  The cache is
 advisory: deleting it never changes verdicts, only how long the next section
 construction takes.  Every load runs the complete section proof
-(`verify_section`).  An entry that cannot be read, parsed or proved for its
-block counts as a miss: a one-line warning goes to stderr, and the caller
-searches the block again and rewrites the entry.
+(`verify_section`), after the stored spec has been compared with the
+block's.  An entry that cannot be read, parsed or proved for its block counts
+as a miss: a one-line warning goes to stderr, and the caller searches the
+block again and rewrites the entry.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .errors import AutSplitError, VerificationFailed
-from .groups import validate_spec
+from .groups import spec_to_json, validate_spec
 from .splitting import SectionCertificate, VerificationReport, verify_section
 
 #: What reading, parsing or proving an untrusted cache file can raise.
@@ -45,10 +46,15 @@ class CertificateCache:
         if not path.exists():
             return None
         try:
-            cert = _read(path)
-            if cert.spec != validate_spec(p, [(n, r)]):
+            obj = json.loads(path.read_text())
+            # the stored spec is compared before anything is parsed: a
+            # corrupted exponent must not cost a computation of p^n
+            if (not isinstance(obj, dict)
+                    or obj.get("spec") != spec_to_json(
+                        validate_spec(p, [(n, r)]))):
                 raise VerificationFailed(
-                    f"certificate is for {cert.spec.describe()}")
+                    f"certificate is not for block (p={p}, n={n}, r={r})")
+            cert = SectionCertificate.from_json(obj)
             return cert, verify_section(cert)
         except _BAD_ENTRY as exc:
             print(f"warning: ignoring cache entry {path.name}: "

@@ -24,6 +24,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from operator import mul
 
 import numpy as np
@@ -47,6 +48,7 @@ from .groups import (
     delta_order_exponent,
     derive_pk_spec,
     derive_tail_spec,
+    gl_order,
 )
 from .matrices import Matrix
 
@@ -167,10 +169,11 @@ def cayley_graph(generators, mul, identity, cap: int):
 def extend_along(targets, size: int, images, lay: Layout) -> list[Rows] | None:
     """Extend generator images along the edges of a Cayley graph.
 
-    `targets` and `size` describe a graph from `cayley_graph`, `images` are
-    bare rows, one per generator.  Sets T[0] = 1 and T[j] = T[i] * images[k]
-    for each edge i -> j of generator k, in the graph's order; that order
-    reaches every j > 0 first from some i < j, so T[i] is always known.
+    `targets` and `size` describe a graph from `cayley_graph` or
+    `quotient_graph`, `images` are bare rows, one per generator.  Sets
+    T[0] = 1 and T[j] = T[i] * images[k] for each edge i -> j of generator
+    k, in the graph's order; that order reaches every j > 0 first from some
+    i < j, so T[i] is always known.
     Returns T, or None at the first edge that reaches a known element with
     a different value.
     """
@@ -193,6 +196,85 @@ def mats_mul(a: tuple[Matrix, ...], b: tuple[Matrix, ...],
              p: int) -> tuple[Matrix, ...]:
     """The blockwise product of two tuples of matrices over F_p."""
     return tuple([mul_rows(x, y, itertools.repeat(p)) for x, y in zip(a, b)])
+
+
+@lru_cache(maxsize=None)
+def gl_span(p: int, r: int, mats: tuple[Matrix, ...]):
+    """The subgroup of GL_r(F_p) that the invertible r x r `mats` generate.
+
+    Returns (size, graph), where graph is the Cayley graph (`cayley_graph`
+    on `mul_rows` mod p) when `mats` generate all of GL_r(F_p), and None
+    when they span a proper subgroup.  Each (p, r, mats) is walked once per
+    process; only the graphs of generating sets are kept.  Raises Overflow
+    past |GL_r(F_p)| elements, which only singular matrices can reach.
+    """
+    moduli = (p,) * r
+    order = gl_order(p, r)
+    graph = cayley_graph(mats, lambda a, b: mul_rows(a, b, moduli),
+                         mx.identity(r), cap=order)
+    size = len(graph[0])
+    return size, (graph if size == order else None)
+
+
+def quotient_graph(spec: PGroupSpec, generators):
+    """The Cayley graph of Q = prod GL_ri(F_p) on block-embedded generators.
+
+    `generators` are tuples of per-block matrices (`QElement.mats`), each
+    the identity in every block but at most one.  Q is a direct product, so
+    its graph is the product of the per-block graphs of `gl_span`, and no
+    BFS over Q is needed:
+
+      * an element's index is the mixed-radix number whose digits are its
+        per-block indices, block 0 the most significant, so the elements
+        in index order are `itertools.product` of the block elements;
+      * a generator of block j changes digit j only, as its block graph's
+        `targets` say; a generator that is the identity everywhere is a
+        self-loop.
+
+    Every index I > 0 is first reached from a smaller one, as
+    `extend_along` requires: lower a nonzero digit of I to the block index
+    it is first reached from.  Returns (size, graph) as `gl_span` does:
+    size is the order of the subgroup spanned, and graph, when that is all
+    of Q, is (elements, targets) as `cayley_graph` returns them, with each
+    element a tuple of block matrices, else None.  Raises ShapeMismatch for
+    a generator that moves two blocks.
+    """
+    idents = [mx.identity(r) for r in spec.ranks]
+    block_gens: list[list[Matrix]] = [[] for _ in idents]
+    owners = []  # per generator: (block, index among its gens), or None
+    for k, mats in enumerate(generators):
+        moved = [j for j, (m, e) in enumerate(zip(mats, idents)) if m != e]
+        if len(moved) > 1:
+            raise ShapeMismatch(f"generator {k} moves blocks {moved[0]} "
+                                f"and {moved[1]}")
+        if moved:
+            j = moved[0]
+            owners.append((j, len(block_gens[j])))
+            block_gens[j].append(mats[j])
+        else:
+            owners.append(None)
+    spans = [gl_span(spec.p, r, tuple(ms))
+             for r, ms in zip(spec.ranks, block_gens)]
+    size = prod(s for s, _ in spans)
+    if any(graph is None for _, graph in spans):
+        return size, None
+
+    radices = [s for s, _ in spans]
+    strides = list(itertools.accumulate(reversed(radices[1:]), mul,
+                                        initial=1))[::-1]
+    index = np.arange(size, dtype=np.int64)
+    targets = np.empty((size, len(owners)), dtype=np.int64)
+    for k, owner in enumerate(owners):
+        if owner is None:
+            targets[:, k] = index
+            continue
+        j, a = owner
+        step = np.array(spans[j][1][1], dtype=np.int64).reshape(
+            radices[j], len(block_gens[j]))[:, a]
+        digit = index // strides[j] % radices[j]
+        targets[:, k] = index + (step[digit] - digit) * strides[j]
+    elements = list(itertools.product(*[graph[0] for _, graph in spans]))
+    return size, (elements, targets.reshape(-1).tolist())
 
 
 # --- construction and validation ---

@@ -8,7 +8,10 @@ coset obstruction and the lift search) hold it as one (N, D, D) array and
 apply each operation to all N elements at once; `enumerate_delta` still
 yields them one by one, in the same odometer order.  The lift search tests
 each assignment with the walk that also proves a section certificate
-(`endo.extend_along` over the quotient's `endo.cayley_graph`).  Budgets are
+(`endo.extend_along` over `endo.quotient_graph`).  The generators of each
+GL_r(F_p) block are searched once per process and rank prefix, and each
+block's Cayley graph is walked once per process (`endo.gl_span`); the
+quotient's graph is their product, computed by arithmetic.  Budgets are
 explicit and enumeration order is fixed, so every run is reproducible.
 """
 
@@ -28,18 +31,17 @@ from .endo import (
     QElement,
     Rows,
     add_endos,
-    cayley_graph,
     extend_along,
+    gl_span,
     identity_endo,
-    identity_q,
     is_automorphism,
     layout,
-    mats_mul,
     mul_rows,
     pow_endo,
     pow_rows,
     q_mul,
     q_order,
+    quotient_graph,
     zero_endo,
 )
 from .errors import (
@@ -335,6 +337,8 @@ def _gl_generators(p: int, r: int, rng: random.Random):
 
     Pairs whose orders are coprime to p are preferred: the lift search then
     prunes their whole candidate coset down to a few conjugacy classes.
+    Generation is checked with `gl_span`, which keeps the Cayley graph of
+    the winning set for the quotient graphs built on it later.
     """
     target = gl_order(p, r)
     if target == 1:
@@ -342,12 +346,9 @@ def _gl_generators(p: int, r: int, rng: random.Random):
     if r == 1:
         return [((primitive_root(p),),)]
     ident = mx.identity(r)
-    moduli = (p,) * r
 
-    def generates(mats):  # a subgroup of GL_r(F_p): never past the cap
-        elements, _ = cayley_graph(
-            mats, lambda a, b: mul_rows(a, b, moduli), ident, cap=target)
-        return len(elements) == target
+    def generates(mats):
+        return gl_span(p, r, tuple(mats))[1] is not None
 
     def random_invertible():
         while True:
@@ -381,22 +382,44 @@ def _gl_generators(p: int, r: int, rng: random.Random):
 
 
 @lru_cache(maxsize=None)
+def _block_generators(p: int, seed: int, ranks: tuple[int, ...]):
+    """Per-block generators for the blocks of these ranks, and the state of
+    `random.Random(seed)` after drawing them.
+
+    `find_generators_of_Q` feeds every block from one generator, so block i
+    depends only on (p, seed, ranks[:i + 1]); the memo on that prefix makes
+    specs that share one draw the same generators without searching again.
+    """
+    if not ranks:
+        return (), random.Random(seed).getstate()
+    head, state = _block_generators(p, seed, ranks[:-1])
+    rng = random.Random()
+    rng.setstate(state)
+    gens = tuple(_gl_generators(p, ranks[-1], rng))
+    return head + (gens,), rng.getstate()
+
+
+@lru_cache(maxsize=None)
 def find_generators_of_Q(spec: PGroupSpec, seed: int = 0,
                          closure_budget: int = DEFAULT_ELEMENT_BUDGET,
                          ) -> tuple[QElement, ...]:
     """A generating set of the product of blockwise GL groups.
 
-    Per-block generators (closure-verified, at most two per block for ranks
-    >= 2) embedded with identity matrices elsewhere.  Deterministic for a
-    fixed seed, so the result is cached per (spec, seed, closure_budget).
+    Per-block generators (generation checked by `gl_span`, at most two per
+    block for ranks >= 2) embedded with identity matrices elsewhere, block
+    by block.  All blocks draw from one `random.Random(seed)`, so block i's
+    generators depend on (p, seed, ranks[:i + 1]) only, not on the
+    exponents: `_block_generators` memoises them on that key, with the RNG
+    state after each block, and replays exactly the draws of one pass.
+    The result is cached per (spec, seed, closure_budget).
     """
     if pi_order(spec) > closure_budget:
         raise BudgetExceeded("quotient too large to verify generators")
-    rng = random.Random(seed)
-    gens: list[QElement] = []
     idents = [mx.identity(r) for r in spec.ranks]
-    for i, (_, r) in enumerate(spec.blocks):
-        for g in _gl_generators(spec.p, r, rng):
+    per_block, _ = _block_generators(spec.p, seed, spec.ranks)
+    gens: list[QElement] = []
+    for i, block in enumerate(per_block):
+        for g in block:
             mats = list(idents)
             mats[i] = g
             gens.append(QElement(p=spec.p, mats=tuple(mats)))
@@ -504,11 +527,13 @@ def complement_lift_search(spec: PGroupSpec,
     procedure: NotFound after exhaustion proves non-splitting.
 
     The test of an assignment is the walk that proves a section certificate
-    (`verify_section`): the quotient's Cayley graph on the generators is
-    built once, and `extend_along` walks the assignment along its edges.
-    Given sigma(h_g) = g, the h_g span a subgroup of order |Q| that meets
-    the kernel trivially exactly when g -> h_g extends along every edge to
-    a homomorphism Q -> Aut(G).
+    (`verify_section`): `extend_along` walks the assignment along the edges
+    of the quotient's Cayley graph on the generators.  Given sigma(h_g) = g,
+    the h_g span a subgroup of order |Q| that meets the kernel trivially
+    exactly when g -> h_g extends along every edge to a homomorphism
+    Q -> Aut(G).  The graph is `quotient_graph`, taken at the first walk
+    from the per-block graphs that `find_generators_of_Q` already built to
+    check generation, so no search walks a group by BFS twice.
 
     Pruning, all soundness-preserving: lifts must have the same order as the
     generator they cover (a complement forces this); the first generator's
@@ -517,7 +542,7 @@ def complement_lift_search(spec: PGroupSpec,
     pairwise product orders are checked before the walk.  The pre-check
     stays: it costs a few products per assignment and rejects most of them
     before any walk (on (Z/p^2)^2, 110 of 121 for p = 11 and all 25 for
-    p = 5, so that search never builds the graph).
+    p = 5).
     """
     start = time.monotonic()
     pi = pi_order(spec)
@@ -554,7 +579,7 @@ def complement_lift_search(spec: PGroupSpec,
             pair_orders[(i, j)] = q_order(q_mul(gens[i], gens[j]))
 
     lay = layout(spec)
-    graph = None  # built at the first walk: the pre-check may reject all
+    targets = None  # built at the first walk: the pre-check may reject all
     tried = 0
     for assignment in itertools.product(*candidates):
         tried += 1
@@ -568,12 +593,9 @@ def complement_lift_search(spec: PGroupSpec,
                         o, lay) != lay.identity
                for (i, j), o in pair_orders.items()):
             continue
-        if graph is None:
-            graph = cayley_graph([g.mats for g in gens],
-                                 lambda a, b: mats_mul(a, b, spec.p),
-                                 identity_q(spec).mats, cap=pi)
-        elements, targets = graph
-        if extend_along(targets, len(elements), assignment, lay) is not None:
+        if targets is None:
+            _, (_, targets) = quotient_graph(spec, [g.mats for g in gens])
+        if extend_along(targets, pi, assignment, lay) is not None:
             images = tuple(BlockEndo(spec=spec, rows=h) for h in assignment)
             return SearchResult(spec, "Found", "exhaustive lift search",
                                 generators=gens, images=images,

@@ -27,17 +27,16 @@ from .endo import (
     BlockEndo,
     QElement,
     block_endo,
-    cayley_graph,
     compose,
     endo_from_json,
     endo_to_json,
     extend_along,
-    identity_q,
     layout,
     q_from_json,
     q_is_invertible,
     q_mul,
     q_to_json,
+    quotient_graph,
     sigma,
 )
 from .errors import (
@@ -45,6 +44,7 @@ from .errors import (
     NotSplitBlock,
     OracleBudgetExceeded,
     Overflow,
+    ShapeMismatch,
     VerificationFailed,
 )
 from .groups import (
@@ -259,26 +259,28 @@ class SectionCertificate:
 def section_table(cert: SectionCertificate) -> dict[QElement, BlockEndo]:
     """Extend the generator images to the whole quotient along Cayley edges.
 
-    The Cayley graph of the generators (`cayley_graph`, capped at |Q|) must
-    have |Q| elements, and the images must extend along its every edge
-    (`extend_along`); otherwise the images do not define a map on Q.
+    The generators must be block-embedded (the identity in every block but
+    at most one) and span all of Q: their Cayley graph (`quotient_graph`,
+    the product of the per-block graphs) must have |Q| elements.  The
+    images must extend along its every edge (`extend_along`); otherwise
+    they do not define a map on Q.
     """
     spec = cert.spec
     expected = pi_order(spec)
     try:
-        elements, targets = cayley_graph(cert.generators, q_mul,
-                                         identity_q(spec), cap=expected)
-    except Overflow as exc:
+        size, graph = quotient_graph(spec, [g.mats for g in cert.generators])
+    except (Overflow, ShapeMismatch) as exc:
         raise VerificationFailed(f"generators: {exc}") from None
-    if len(elements) != expected:
-        raise VerificationFailed(f"generators span {len(elements)} quotient "
+    if size != expected:
+        raise VerificationFailed(f"generators span {size} quotient "
                                  f"elements, expected {expected}")
-    values = extend_along(targets, len(elements),
-                          [img.rows for img in cert.images], layout(spec))
+    elements, targets = graph
+    values = extend_along(targets, size, [img.rows for img in cert.images],
+                          layout(spec))
     if values is None:
         raise VerificationFailed("generator images are inconsistent")
-    return {q: BlockEndo(spec=spec, rows=rows)
-            for q, rows in zip(elements, values)}
+    return {QElement(p=spec.p, mats=mats): BlockEndo(spec=spec, rows=rows)
+            for mats, rows in zip(elements, values)}
 
 
 @dataclass(frozen=True)
@@ -306,9 +308,15 @@ def verify_section(cert: SectionCertificate, mode: str = "cayley-edges",
     Raises VerificationFailed on the first failed check.  The default mode,
     "cayley-edges", is a complete proof by induction on word length.  Let S
     be the generators, each checked to be invertible, so that they span a
-    subgroup of Q.  `section_table` builds the Cayley graph of S
-    (`cayley_graph`) and walks the images along it (`extend_along`), which
-    defines the map T:
+    subgroup of Q, and block-embedded: each is the identity in every block
+    but at most one, as every certificate this tool writes is.  Q is the
+    direct product of its blocks (`q_mul` multiplies block by block, so the
+    edges are exact), and `section_table` builds the Cayley graph of S
+    (`quotient_graph`) from the graph of each block's generators in
+    GL_r(F_p), numbering the elements in mixed radix; in that order every
+    element but 1 is first reached from a smaller one, which is all the
+    walk needs.  It walks the images along the graph (`extend_along`),
+    which defines the map T:
 
       * T(1) = 1, because the walk starts there;
       * edges: T(q*g) = T(q)*T(g) for every quotient element q and every g

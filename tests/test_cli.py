@@ -1,27 +1,33 @@
 """Command-line interface, driven through click's test runner."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import autsplit
+from autsplit import endo, oracle
+from autsplit import matrices as mx
+from autsplit.cache import CertificateCache
 from autsplit.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
     EXIT_NOT_SPLIT,
     main,
 )
-from autsplit.groups import delta_order, validate_spec
+from autsplit.groups import delta_order, gl_order, validate_spec
 from autsplit.splitting import (
     SectionCertificate,
     build_verified_section,
     verify_section,
 )
+from conftest import SWEEP50_PATH
 
 
 @pytest.fixture
@@ -160,6 +166,57 @@ class TestSection:
         assert [p.name for p in cache.iterdir()] == [entry.name]
 
 
+    def test_stored_spec_is_compared_before_parsing(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # parsing a spec with n = 4*10^6 computes 2^n, which takes seconds
+        cache = CertificateCache(tmp_path)
+        cert, _ = build_verified_section(validate_spec(2, [(2, 2)]))
+        path = cache.store_block(2, 2, 2, cert)
+        obj = json.loads(path.read_text())
+        obj["spec"]["blocks"][0]["n"] = 4 * 10 ** 6
+        path.write_text(json.dumps(obj))
+
+        def never(obj):
+            pytest.fail("a mismatching entry reached from_json")
+
+        monkeypatch.setattr(SectionCertificate, "from_json",
+                            staticmethod(never))
+        assert cache.load_block(2, 2, 2) is None
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "warning: ignoring cache entry block-p2-n2-r2.json: ")
+
+
+#: The section-cache benchmark's specs, with the md5 of the stdout of all
+#: 11 `section` calls on an empty and then on the filled cache directory, and
+#: of the cache files; recorded from the code before the quotient graph was
+#: computed from the block graphs.
+PINNED_SPECS = ["-p 2 -b 2:2", "-p 2 -b 2:3", "-p 2 -b 3:2",
+                "-p 2 -b 1:2 -b 2:2", "-p 2 -b 2:2 -b 4:1",
+                "-p 2 -b 1:1 -b 2:3", "-p 2 -b 2:3 -b 4:1", "-p 3 -b 2:2",
+                "-p 3 -b 3:2", "-p 3 -b 2:2 -b 4:1", "-p 3 -b 1:1 -b 2:2"]
+PINNED_SECTION_MD5 = "95243d2ec2e91d83859a3a93f5f8da8e"
+PINNED_CACHE_MD5 = "f65ec6ab555671838d04afdb7915a380"
+
+
+def test_certificate_bytes_are_pinned(runner, tmp_path):
+    cache = tmp_path / "cache"
+    for _ in range(2):  # a cold and then a warm cache
+        out = hashlib.md5()
+        for args in PINNED_SPECS:
+            res = runner.invoke(main, ["section", "--cache-dir", str(cache),
+                                       *args.split()])
+            assert res.exit_code == 0
+            assert "warning" not in res.stderr
+            out.update(res.stdout.encode())
+        assert out.hexdigest() == PINNED_SECTION_MD5
+    files = hashlib.md5()
+    for path in sorted(cache.iterdir()):
+        files.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert files.hexdigest() == PINNED_CACHE_MD5
+
+
 class TestOracleCommands:
     def test_delta_count(self, runner):
         res = runner.invoke(main, ["oracle", "delta-count",
@@ -289,6 +346,34 @@ class TestBatch:
         assert serial.exit_code == parallel.exit_code == 0
         assert len(serial.stdout.splitlines()) == 4
         assert parallel.stdout == serial.stdout
+
+    def test_each_block_graph_walked_once(self, runner, monkeypatch):
+        # the sweep's quotient graphs all come from per-block graphs, and
+        # each generating set of a GL_r(F_p) is walked by BFS at most once
+        walked = Counter()
+        bfs = endo.cayley_graph
+
+        def counting(generators, mul, identity, cap):
+            walked[(cap, identity, tuple(generators))] += 1
+            return bfs(generators, mul, identity, cap)
+
+        monkeypatch.setattr(endo, "cayley_graph", counting)
+        for memo in (endo.gl_span, oracle.find_generators_of_Q,
+                     oracle._block_generators):
+            memo.cache_clear()
+        res = runner.invoke(main, ["batch", str(SWEEP50_PATH),
+                                   "--with-oracle", "--budget-elems", "4096",
+                                   "--budget-assignments", "65536"])
+        assert res.exit_code == 0
+        assert len(res.stdout.splitlines()) == 50
+        assert walked and max(walked.values()) == 1
+        primes = {json.loads(line)["p"]
+                  for line in SWEEP50_PATH.read_text().splitlines()}
+        for cap, identity, generators in walked:
+            r = len(identity)
+            assert identity == mx.identity(r)
+            assert cap in {gl_order(p, r) for p in primes}
+            assert all(mx.shape(g) == (r, r) for g in generators)
 
     def test_csv_format(self, runner, tmp_path):
         f = tmp_path / "in.jsonl"

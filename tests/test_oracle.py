@@ -11,12 +11,14 @@ import pytest
 from autsplit import matrices as mx
 from autsplit.endo import (
     BlockEndo,
+    QElement,
     add_endos,
     cayley_graph,
     check_hom_constraints,
     compose,
     element_order,
     extend_along,
+    gl_span,
     identity_endo,
     identity_q,
     in_delta,
@@ -24,9 +26,15 @@ from autsplit.endo import (
     layout,
     mul_rows,
     pow_endo,
+    quotient_graph,
     sigma,
 )
-from autsplit.errors import BudgetExceeded, Overflow, RankTooSmall
+from autsplit.errors import (
+    BudgetExceeded,
+    Overflow,
+    RankTooSmall,
+    ShapeMismatch,
+)
 from autsplit.groups import (
     aut_order,
     delta_order,
@@ -36,10 +44,12 @@ from autsplit.groups import (
     validate_spec,
 )
 from autsplit.oracle import (
+    _block_generators,
     _bmul,
     _delta_array,
     _diagonal_int_lift,
     _flat,
+    _gl_generators,
     _layout,
     _transvection_perturbation,
     _unflat,
@@ -197,6 +207,90 @@ class TestGenerators:
         spec = validate_spec(3, [(2, 2)])
         assert (find_generators_of_Q(spec, seed=5)
                 == find_generators_of_Q.__wrapped__(spec, seed=5))
+
+    # specs that share rank prefixes, and so the memo of their blocks
+    MEMO_SPECS = [(2, [(2, 2)]), (2, [(3, 2)]), (2, [(1, 2), (2, 2)]),
+                  (2, [(1, 2), (3, 1)]), (2, [(2, 2), (4, 1)]),
+                  (2, [(1, 1), (2, 2)]), (3, [(1, 2), (2, 1), (3, 2)])]
+
+    @staticmethod
+    def clear_memos():
+        find_generators_of_Q.cache_clear()
+        _block_generators.cache_clear()
+        gl_span.cache_clear()
+
+    @staticmethod
+    def reference(spec, seed):
+        # one pass: a fresh generator fed block by block, no memo
+        rng = random.Random(seed)
+        gens = []
+        idents = [mx.identity(r) for r in spec.ranks]
+        for i, r in enumerate(spec.ranks):
+            for g in _gl_generators(spec.p, r, rng):
+                mats = list(idents)
+                mats[i] = g
+                gens.append(QElement(p=spec.p, mats=tuple(mats)))
+        return tuple(gens)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_memo_is_order_independent(self, seed):
+        specs = [validate_spec(p, blocks) for p, blocks in self.MEMO_SPECS]
+        self.clear_memos()
+        forward = [find_generators_of_Q(s, seed=seed) for s in specs]
+        self.clear_memos()
+        backward = [find_generators_of_Q(s, seed=seed)
+                    for s in reversed(specs)][::-1]
+        self.clear_memos()
+        expected = [self.reference(s, seed) for s in specs]
+        assert forward == backward == expected
+        assert all(expected)
+
+
+class TestQuotientGraph:
+    """The product graph by arithmetic against a BFS over `q_mul`."""
+
+    @pytest.mark.parametrize("p,blocks", [
+        (2, [(1, 1), (2, 2)]),  # a trivial GL_1(F_2) block
+        (2, [(2, 3)]),
+        (3, [(1, 2), (3, 2)]),
+        (5, [(1, 1), (2, 1), (3, 1)]),
+        (2, [(1, 2), (2, 2)]),
+    ])
+    def test_matches_reference_bfs(self, p, blocks):
+        spec = validate_spec(p, blocks)
+        one = identity_q(spec)
+        # an identity generator in the middle must give self-loops
+        gens = list(find_generators_of_Q(spec))
+        gens.insert(1, one)
+        size, (elements, targets) = quotient_graph(
+            spec, [g.mats for g in gens])
+        ref, _ = cayley_graph(gens, q_mul, one, cap=pi_order(spec))
+        assert size == len(elements) == len(ref) == pi_order(spec)
+        assert {q.mats for q in ref} == set(elements)
+        assert elements[0] == one.mats
+        n = len(gens)
+        assert len(targets) == size * n
+        first_from = {}
+        for i, x in enumerate(elements):
+            q = QElement(p=p, mats=x)
+            for k, g in enumerate(gens):
+                j = targets[i * n + k]
+                assert elements[j] == q_mul(q, g).mats
+                first_from.setdefault(j, i)
+            assert targets[i * n + 1] == i
+        assert all(first_from[j] < j for j in range(1, size))
+
+    def test_proper_subgroup_has_no_graph(self):
+        # one transvection spans 2 of the 6 elements of GL_2(F_2)
+        spec = validate_spec(2, [(1, 1), (2, 2)])
+        t = QElement(p=2, mats=(((1,),), ((1, 1), (0, 1))))
+        assert quotient_graph(spec, [t.mats]) == (2, None)
+
+    def test_generator_moving_two_blocks(self):
+        spec = validate_spec(3, [(1, 1), (2, 1)])
+        g = QElement(p=3, mats=(((2,),), ((2,),)))
+        with pytest.raises(ShapeMismatch, match="moves blocks 0 and 1"):
+            quotient_graph(spec, [g.mats])
 
 
 def _closure_accepts(hs, spec):

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autsplit.endo import block_endo, compose, sigma
+from autsplit.endo import (
+    block_endo,
+    cayley_graph,
+    compose,
+    extend_along,
+    identity_q,
+    layout,
+    q_mul,
+    sigma,
+)
 from autsplit.errors import NotSplitBlock, VerificationFailed
 from autsplit.groups import pi_order, validate_spec
 from autsplit.oracle import random_delta_element
@@ -216,6 +225,25 @@ class TestCertificates:
             "generators": [[[[0]]]], "images": [{"cells": [[[[0]]]]}]})
         with pytest.raises(VerificationFailed, match="not invertible"):
             verify_section(cert)
+
+    def test_generator_moving_two_blocks_rejected(self):
+        # (Z/3 + Z/9): Q = GL_1(F_3)^2.  The generators g1*g2, g2 with the
+        # images T(g1)*T(g2), T(g2) span Q and extend to the section, but
+        # g1*g2 moves both blocks, so the product graph does not apply
+        spec = validate_spec(3, [(1, 1), (2, 1)])
+        cert, _ = build_verified_section(spec)
+        (g1, g2), (t1, t2) = cert.generators, cert.images
+        mixed = SectionCertificate(
+            spec=spec, generators=(q_mul(g1, g2), g2),
+            images=(compose(t1, t2), t2), verification={})
+        # a BFS over q_mul, as the proof walked before, accepts them
+        elements, targets = cayley_graph(mixed.generators, q_mul,
+                                         identity_q(spec), cap=4)
+        assert len(elements) == pi_order(spec) == 4
+        assert extend_along(targets, 4, [t.rows for t in mixed.images],
+                            layout(spec)) is not None
+        with pytest.raises(VerificationFailed, match="moves blocks 0 and 1"):
+            verify_section(mixed)
 
     @pytest.mark.parametrize("obj", [
         None, [], "cert", {"generators": [], "images": []},
