@@ -26,6 +26,7 @@ from autsplit.endo import (
     layout,
     mul_rows,
     pow_endo,
+    q_order,
     quotient_graph,
     sigma,
 )
@@ -244,6 +245,45 @@ class TestGenerators:
         expected = [self.reference(s, seed) for s in specs]
         assert forward == backward == expected
         assert all(expected)
+
+    @staticmethod
+    def plain_search(p, r, rng):
+        # the search with every draw tested afresh; GL_r(F_p) for r >= 2
+        # has no fallback within these (p, r)
+        def draw():
+            while True:
+                m = tuple(tuple(rng.randrange(p) for _ in range(r))
+                          for _ in range(r))
+                if mx.is_invertible_mod_p(m, p):
+                    return m
+        for want_p_prime in (True, False):
+            for _ in range(400 if want_p_prime else 200):
+                pair = [draw(), draw()]
+                if want_p_prime and any(
+                        q_order(QElement(p=p, mats=(m,))) % p == 0
+                        for m in pair):
+                    continue
+                if gl_span(p, r, tuple(pair))[1] is not None:
+                    return pair
+        raise AssertionError("plain search fell through")
+
+    @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (5, 2)])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_search_draws_as_plain_search(self, p, r, seed, monkeypatch):
+        plain_rng, rng = random.Random(seed), random.Random(seed)
+        expected = self.plain_search(p, r, plain_rng)
+        calls = []
+        real_q_order = q_order
+
+        def counting_q_order(q):
+            calls.append(q.mats)
+            return real_q_order(q)
+        monkeypatch.setattr("autsplit.oracle.q_order", counting_q_order)
+        assert _gl_generators(p, r, rng) == expected
+        assert rng.getstate() == plain_rng.getstate()
+        # each drawn matrix has its order taken once: for GL_2(F_2) that
+        # is 6 orders for the 400 pairs of the p'-pass, which all fail
+        assert len(calls) == len(set(calls)) <= gl_order(p, r)
 
 
 class TestQuotientGraph:
