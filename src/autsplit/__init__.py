@@ -44,7 +44,6 @@ from .groups import (
 from .splitting import (
     SectionCertificate,
     SplitVerdict,
-    assemble_section,
     block_section,
     build_verified_section,
     classify,
@@ -63,7 +62,6 @@ __all__ = [
     "add_elements",
     "add_endos",
     "apply",
-    "assemble_section",
     "aut_order",
     "block_endo",
     "block_section",

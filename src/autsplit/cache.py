@@ -1,19 +1,24 @@
 """Certificate cache.
 
-One JSON file per searched block section, keyed by (p, n, r); elementary and
-rank-1 blocks have closed-form sections and are never stored.  The cache is
-advisory: deleting it never changes verdicts, only how long the next section
-construction takes.  Every load runs the complete section proof
-(`verify_section`), after the stored spec has been compared with the
-block's.  An entry that cannot be read, parsed or proved for its block counts
-as a miss: a one-line warning goes to stderr, and the caller searches the
-block again and rewrites the entry.
+One JSON file per searched block section, named `block-p<p>-n<n>-r<r>.json`
+after its block; elementary and rank-1 blocks have closed-form sections and
+are never stored, and files with other names are not the cache's.  The cache
+is advisory: deleting it never changes verdicts, only how long the next
+section construction takes, and a write that fails costs a warning on stderr.
+
+Loading an entry (`load_block`) and re-verifying the whole cache
+(`verify_all`, behind `cache verify`) go through one path: read the file,
+compare its stored spec with the block its name gives before anything is
+parsed, parse, and run the complete section proof (`verify_section`).  An
+entry that fails any step is a miss for a load: a one-line warning goes to
+stderr, and the caller searches the block again and rewrites the entry.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -24,9 +29,26 @@ from .splitting import SectionCertificate, VerificationReport, verify_section
 #: What reading, parsing or proving an untrusted cache file can raise.
 _BAD_ENTRY = (OSError, ValueError, AutSplitError)
 
+#: The name of the entry for block (p, n, r).
+_ENTRY_NAME = re.compile(r"block-p([1-9]\d*)-n([1-9]\d*)-r([1-9]\d*)\.json")
 
-def _read(path: Path) -> SectionCertificate:
-    return SectionCertificate.from_json(json.loads(path.read_text()))
+
+def _load(path: Path) -> tuple[SectionCertificate, VerificationReport]:
+    """The certificate at path and its fresh proof, for the block it names.
+
+    Raises one of `_BAD_ENTRY` when the file cannot be read or parsed, or
+    holds no proved section of that block.
+    """
+    p, n, r = map(int, _ENTRY_NAME.fullmatch(path.name).groups())
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    # the stored spec is compared before anything is parsed: a corrupted
+    # exponent must not cost a computation of p^n
+    if (not isinstance(obj, dict)
+            or obj.get("spec") != spec_to_json(validate_spec(p, [(n, r)]))):
+        raise VerificationFailed(
+            f"certificate is not for block (p={p}, n={n}, r={r})")
+    cert = SectionCertificate.from_json(obj)
+    return cert, verify_section(cert)
 
 
 class CertificateCache:
@@ -46,45 +68,47 @@ class CertificateCache:
         if not path.exists():
             return None
         try:
-            obj = json.loads(path.read_text())
-            # the stored spec is compared before anything is parsed: a
-            # corrupted exponent must not cost a computation of p^n
-            if (not isinstance(obj, dict)
-                    or obj.get("spec") != spec_to_json(
-                        validate_spec(p, [(n, r)]))):
-                raise VerificationFailed(
-                    f"certificate is not for block (p={p}, n={n}, r={r})")
-            cert = SectionCertificate.from_json(obj)
-            return cert, verify_section(cert)
+            return _load(path)
         except _BAD_ENTRY as exc:
             print(f"warning: ignoring cache entry {path.name}: "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
             return None
 
     def store_block(self, p: int, n: int, r: int,
-                    cert: SectionCertificate) -> Path:
-        """Write the entry atomically: a temporary file, then a rename."""
-        self.directory.mkdir(parents=True, exist_ok=True)
+                    cert: SectionCertificate) -> Path | None:
+        """Write the entry atomically: a temporary file, then a rename.
+
+        None, after a warning on stderr, when the entry cannot be written.
+        """
         path = self._block_path(p, n, r)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(json.dumps(cert.to_json(), sort_keys=True, indent=1))
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+            self.directory.mkdir(parents=True, exist_ok=True)
+            try:
+                tmp.write_text(json.dumps(cert.to_json(), sort_keys=True,
+                                          indent=1), encoding="utf-8")
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
+        except OSError as exc:
+            print(f"warning: cannot write cache entry {path.name}: "
+                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            return None
         return path
 
     def entries(self) -> list[Path]:
-        if not self.directory.exists():
+        """The entry files, sorted; files with other names are left out."""
+        if not self.directory.is_dir():
             return []
-        return sorted(self.directory.glob("*.json"))
+        return sorted(path for path in self.directory.iterdir()
+                      if _ENTRY_NAME.fullmatch(path.name))
 
     def verify_all(self) -> list[tuple[str, bool, str]]:
-        """Re-verify every cached certificate; (name, ok, detail) rows."""
+        """Load every entry as `load_block` does; (name, ok, detail) rows."""
         rows = []
         for path in self.entries():
             try:
-                report = verify_section(_read(path))
+                _, report = _load(path)
                 rows.append((path.name, True, f"{report.pairs_checked} edges"))
             except _BAD_ENTRY as exc:
                 rows.append((path.name, False, str(exc)))

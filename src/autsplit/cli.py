@@ -9,8 +9,11 @@ win.
 
 Every section certificate that `section` prints, and every `batch` row that
 reports `SectionVerified`, has passed the complete Cayley-edge proof of
-`splitting.verify_section`.  A cache entry that cannot be read or proved is
-a miss, reported on stderr, never an error.
+`splitting.verify_section`.  The cache is advisory: an entry that cannot be
+read or proved is a miss, and one that cannot be written is skipped; both are
+reported on stderr, never an error.  A --spec-file or batch INPUT_FILE that
+cannot be read as UTF-8, and an -o file that cannot be written, are invalid
+input.
 """
 
 from __future__ import annotations
@@ -144,8 +147,11 @@ def cmd_section(prime, blocks, spec_file, cache_dir, seed,
         sys.exit(EXIT_NOT_SPLIT)
     payload = cert.to_json()
     if output:
-        with open(output, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, sort_keys=True, indent=1)
+        except OSError as exc:
+            _fail_invalid(exc)
     _echo_json(payload)
     click.echo(
         f"verified: mode={report.mode} pairs={report.pairs_checked}", err=True)
@@ -307,8 +313,11 @@ def _batch_row(line: str, lineno: int, with_oracle: bool, seed: int,
 def cmd_batch(input_file, with_oracle, seed, budget_assignments, budget_elems,
               fmt, continue_on_error, workers) -> None:
     """One verdict row per spec line of a JSONL file."""
-    with open(input_file) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(input_file, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        _fail_invalid(exc)
 
     row_of = functools.partial(
         _batch_row, with_oracle=with_oracle, seed=seed,

@@ -91,10 +91,6 @@ class NotSplitBlock(AutSplitError):
     """A section was requested for a block that does not split."""
 
 
-class MissingBlockSection(AutSplitError):
-    """Assembly needs a verified section for every block."""
-
-
 class VerificationFailed(AutSplitError):
     """A certificate failed verification; carries the first counterexample."""
 

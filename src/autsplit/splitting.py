@@ -12,21 +12,24 @@ p = 2, 3 whenever consecutive exponents differ by more than 1.  In the
 remaining p = 2, 3 tight-gap region no verdict is available and the
 classifier says so rather than extrapolate.
 
-Where a section exists we build it explicitly: the multiplicative lift for
-rank-1 blocks, the identity lift for elementary blocks, and a search-backed
-table for the exceptional small-rank p = 2, 3 blocks; per-block sections are
-assembled block-diagonally into a certificate that is then machine-verified.
+Where a section exists we build it explicitly.  Each block's section is a
+map from GL_r(F_p) to the block's diagonal cell (`block_section`): the
+identity for elementary blocks, the multiplicative lift for rank-1 blocks,
+and a lookup in the proven table of a searched (or cached) certificate for
+the exceptional small-rank p = 2, 3 blocks.  The section of G is their
+block-diagonal sum: `build_verified_section` writes each block's image of
+each quotient generator into the rows of one `BlockEndo` and proves the
+certificate once, in full (`verify_section`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
-from . import matrices as mx
 from .endo import (
     BlockEndo,
     QElement,
-    block_endo,
     compose,
     endo_from_json,
     endo_to_json,
@@ -40,7 +43,6 @@ from .endo import (
     sigma,
 )
 from .errors import (
-    MissingBlockSection,
     NotSplitBlock,
     OracleBudgetExceeded,
     Overflow,
@@ -149,47 +151,27 @@ def teichmuller_section(p: int, n: int):
     return omega
 
 
-@dataclass(frozen=True)
-class BlockSection:
-    """A verified section for one homocyclic block.
-
-    kind "trivial" lifts matrices entrywise (valid only for exponent 1),
-    "teichmuller" lifts rank-1 scalars multiplicatively, and "table" holds
-    the full map recovered from a search certificate.
-    """
-
-    p: int
-    n: int
-    r: int
-    kind: str
-    table: dict | None = None
-
-    def apply(self, m: Matrix) -> Matrix:
-        m = mx.mat(m, self.p)
-        if self.kind == "trivial":
-            return m
-        if self.kind == "teichmuller":
-            omega = teichmuller_section(self.p, self.n)
-            return ((omega(m[0][0]),),)
-        if self.table is None:
-            raise MissingBlockSection("table section has no table")
-        return self.table[m]
-
-
 def block_section(p: int, n: int, r: int,
                   oracle_budget: int | None = None,
                   seed: int = 0,
-                  cache=None) -> BlockSection:
-    """Construct a verified section for one block, searching if needed."""
+                  cache=None) -> Callable[[Matrix], Matrix]:
+    """One block's verified section, as a map from GL_r(F_p) to its cell.
+
+    The map is the identity for exponent 1 and the multiplicative lift for
+    rank 1; otherwise it is a lookup in the proven table of the block's
+    certificate, loaded from the cache or searched for (and then stored).
+    Matrices are canonical tuples of rows, as `QElement` holds them.
+    """
     from . import oracle as _oracle
 
     verdict = classify_block(p, n, r)
     if verdict.outcome != "Splits":
         raise NotSplitBlock(f"(p={p}, n={n}, r={r}) does not split")
     if n == 1:
-        return BlockSection(p=p, n=n, r=r, kind="trivial")
+        return lambda m: m
     if r == 1:
-        return BlockSection(p=p, n=n, r=r, kind="teichmuller")
+        omega = teichmuller_section(p, n)
+        return lambda m: ((omega(m[0][0]),),)
 
     spec = validate_spec(p, [(n, r)])
     loaded = cache.load_block(p, n, r) if cache is not None else None
@@ -216,8 +198,7 @@ def block_section(p: int, n: int, r: int,
                 p, n, r, replace(cert, verification=report.to_json()))
     else:
         _, report = loaded
-    table = {q.mats[0]: e.rows for q, e in report.table.items()}
-    return BlockSection(p=p, n=n, r=r, kind="table", table=table)
+    return {q.mats[0]: e.rows for q, e in report.table.items()}.__getitem__
 
 
 # --- certificates ---
@@ -372,61 +353,36 @@ def verify_section(cert: SectionCertificate, mode: str = "cayley-edges",
                               table=table)
 
 
-def assemble_section(spec: PGroupSpec,
-                     block_sections: dict[int, BlockSection],
-                     seed: int = 0) -> SectionCertificate:
-    """Block-diagonal assembly of per-block sections into one certificate.
-
-    block_sections maps block index to a verified BlockSection; the
-    generators recorded are those of the quotient product, their images the
-    block-diagonal lifts through the per-block sections.
-    """
-    from .oracle import find_generators_of_Q
-
-    for i, (n, r) in enumerate(spec.blocks):
-        if i not in block_sections:
-            raise MissingBlockSection(f"no section for block {i}")
-        s = block_sections[i]
-        if (s.p, s.n, s.r) != (spec.p, n, r):
-            raise MissingBlockSection(
-                f"section for block {i} has parameters "
-                f"({s.p},{s.n},{s.r}), expected ({spec.p},{n},{r})")
-
-    generators = find_generators_of_Q(spec, seed=seed)
-    images = []
-    for q in generators:
-        cells = []
-        for j, rj in enumerate(spec.ranks):
-            row = []
-            for k, rk in enumerate(spec.ranks):
-                if j == k:
-                    row.append(block_sections[j].apply(q.mats[j]))
-                else:
-                    row.append(mx.zeros(rj, rk))
-            cells.append(row)
-        images.append(block_endo(spec, cells))
-    return SectionCertificate(
-        spec=spec,
-        generators=generators,
-        images=tuple(images),
-        verification={"mode": "unverified", "pairs": 0},
-    )
-
-
 def build_verified_section(spec: PGroupSpec, mode: str = "cayley-edges",
                            seed: int = 0, oracle_budget: int | None = None,
                            cache=None,
                            ) -> tuple[SectionCertificate, VerificationReport]:
-    """One-stop construction: per-block sections, assembly, verification."""
+    """The block-diagonal section of spec, proved once as a whole.
+
+    Each generator of the quotient is lifted block by block through
+    `block_section`, its cells written straight into the rows of one
+    `BlockEndo` (zero off the diagonal); the certificate is then proved by
+    `verify_section`.
+    """
+    from .oracle import find_generators_of_Q
+
     verdict = classify(spec)
     if verdict.outcome != "Splits":
         raise NotSplitBlock(f"classifier verdict is {verdict.outcome}")
-    sections = {
-        i: block_section(spec.p, n, r, oracle_budget=oracle_budget,
-                         seed=seed, cache=cache)
-        for i, (n, r) in enumerate(spec.blocks)
-    }
-    cert = assemble_section(spec, sections, seed=seed)
+    lifts = [block_section(spec.p, n, r, oracle_budget=oracle_budget,
+                           seed=seed, cache=cache)
+             for n, r in spec.blocks]
+    generators = find_generators_of_Q(spec, seed=seed)
+    offsets = layout(spec).offsets
+    D = spec.total_rank
+    images = []
+    for q in generators:
+        rows = []
+        for lift, m, start, stop in zip(lifts, q.mats, offsets, offsets[1:]):
+            rows += [(0,) * start + row + (0,) * (D - stop) for row in lift(m)]
+        images.append(BlockEndo(spec=spec, rows=tuple(rows)))
+    cert = SectionCertificate(spec=spec, generators=generators,
+                              images=tuple(images),
+                              verification={"mode": "unverified", "pairs": 0})
     report = verify_section(cert, mode=mode)
-    cert = replace(cert, verification=report.to_json())
-    return cert, report
+    return replace(cert, verification=report.to_json()), report

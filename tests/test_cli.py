@@ -19,12 +19,20 @@ from autsplit.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
     EXIT_NOT_SPLIT,
+    EXIT_VERIFY_FAILED,
     main,
 )
-from autsplit.groups import delta_order, gl_order, validate_spec
+from autsplit.groups import (
+    delta_order,
+    gl_order,
+    pi_order,
+    spec_from_json,
+    validate_spec,
+)
 from autsplit.splitting import (
     SectionCertificate,
     build_verified_section,
+    classify,
     verify_section,
 )
 from conftest import SWEEP50_PATH
@@ -166,6 +174,27 @@ class TestSection:
         assert [p.name for p in cache.iterdir()] == [entry.name]
 
 
+    def test_cache_write_error_is_a_warning(self, runner, tmp_path):
+        # the cache is advisory: a --cache-dir that names a file costs a
+        # warning, not the certificate
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        args = ["section", "-p", "2", "-b", "2:2"]
+        res = runner.invoke(main, args + ["--cache-dir", str(blocker)])
+        assert res.exit_code == 0
+        warnings = [line for line in res.stderr.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert "FileExistsError" in warnings[0]
+        assert res.stdout == runner.invoke(main, args).stdout
+
+    def test_output_is_a_directory(self, runner, tmp_path):
+        res = runner.invoke(main, ["section", "-p", "5", "-b", "2:1",
+                                   "-o", str(tmp_path)])
+        assert res.exit_code == EXIT_INVALID
+        assert res.stderr.startswith("error: IsADirectoryError: ")
+        assert res.stdout == ""
+
     def test_stored_spec_is_compared_before_parsing(self, tmp_path,
                                                     monkeypatch, capsys):
         # parsing a spec with n = 4*10^6 computes 2^n, which takes seconds
@@ -186,6 +215,9 @@ class TestSection:
         assert len(lines) == 1
         assert lines[0].startswith(
             "warning: ignoring cache entry block-p2-n2-r2.json: ")
+        # `cache verify` takes the same path
+        assert cache.verify_all() == [(path.name, False, (
+            "certificate is not for block (p=2, n=2, r=2)"))]
 
 
 #: The section-cache benchmark's specs, with the md5 of the stdout of all
@@ -215,6 +247,41 @@ def test_certificate_bytes_are_pinned(runner, tmp_path):
     for path in sorted(cache.iterdir()):
         files.update(path.name.encode() + b"\n" + path.read_bytes())
     assert files.hexdigest() == PINNED_CACHE_MD5
+
+
+#: md5 of the acceptance gate's sweep stdout (`batch --with-oracle
+#: --budget-elems 4096 --budget-assignments 65536` on sweep50.jsonl), and of
+#: the exit code and then stdout of `section` on each of the sweep's 32 Splits
+#: rows with |Q| <= 5000, in file order; recorded before the block sections
+#: became maps written straight into the certificate's rows.
+PINNED_SWEEP_MD5 = "46ee9d6ac8442260b4628706940343ab"
+PINNED_SWEEP_SECTIONS_MD5 = "a7ea5d7300f0d44925ae598bdbdca6a8"
+
+
+def test_sweep_bytes_are_pinned(runner):
+    res = runner.invoke(main, ["batch", str(SWEEP50_PATH), "--with-oracle",
+                               "--budget-elems", "4096",
+                               "--budget-assignments", "65536"])
+    assert res.exit_code == 0
+    assert hashlib.md5(res.stdout.encode()).hexdigest() == PINNED_SWEEP_MD5
+
+
+def test_sweep_section_bytes_are_pinned(runner):
+    out = hashlib.md5()
+    calls = 0
+    for line in SWEEP50_PATH.read_text().splitlines():
+        spec = spec_from_json(json.loads(line))
+        if classify(spec).outcome != "Splits" or pi_order(spec) > 5000:
+            continue
+        args = ["section", "-p", str(spec.p)]
+        for n, r in spec.blocks:
+            args += ["-b", f"{n}:{r}"]
+        res = runner.invoke(main, args)
+        out.update(str(res.exit_code).encode())
+        out.update(res.stdout.encode())
+        calls += 1
+    assert calls == 32
+    assert out.hexdigest() == PINNED_SWEEP_SECTIONS_MD5
 
 
 class TestOracleCommands:
@@ -332,6 +399,21 @@ class TestBatch:
         assert "error" in rows[0] and "error" in rows[2]
         assert rows[1]["outcome"] == "Splits"
 
+    @pytest.mark.parametrize("extra", [[], ["--continue"]],
+                             ids=["stop", "continue"])
+    def test_input_not_utf8(self, runner, tmp_path, extra):
+        f = tmp_path / "in.jsonl"
+        f.write_bytes(b'{"p": 5, "blocks": [{"n": 2, "r": 1}]}\n\xff\xfe\n')
+        res = runner.invoke(main, ["batch", str(f), *extra])
+        assert res.exit_code == EXIT_INVALID
+        assert res.stderr.startswith("error: UnicodeDecodeError: ")
+        assert res.stdout == ""
+
+    def test_input_is_a_directory(self, runner, tmp_path):
+        res = runner.invoke(main, ["batch", str(tmp_path)])
+        assert res.exit_code == EXIT_INVALID
+        assert res.stderr.startswith("error: IsADirectoryError: ")
+
     def test_workers_print_the_same_bytes(self, runner, tmp_path):
         f = tmp_path / "in.jsonl"
         _write_jsonl(f, [
@@ -401,3 +483,30 @@ class TestCache:
                                    "clear"])
         assert res.exit_code == 0
         assert not list(cache.glob("*.json"))
+
+    def test_other_files_are_left_alone(self, runner, tmp_path):
+        cache = tmp_path / "cache"
+        res = runner.invoke(main, ["section", "-p", "2", "-b", "2:2",
+                                   "--cache-dir", str(cache)])
+        assert res.exit_code == 0
+        notes = cache / "notes.json"
+        notes.write_text("{}")
+        base = ["cache", "--cache-dir", str(cache)]
+        res = runner.invoke(main, base + ["list"])
+        assert res.stdout == "block-p2-n2-r2.json\n"
+        res = runner.invoke(main, base + ["verify"])
+        assert res.exit_code == 0
+        assert "notes.json" not in res.stdout
+        res = runner.invoke(main, base + ["clear"])
+        assert res.stdout == "removed 1 certificates\n"
+        assert [p.name for p in cache.iterdir()] == ["notes.json"]
+
+    def test_verify_fails_a_mislabeled_entry(self, runner, tmp_path):
+        # a proved (3; 2:2) certificate, saved under the name of (2; 2:2)
+        cert, _ = build_verified_section(validate_spec(3, [(2, 2)]))
+        CertificateCache(tmp_path).store_block(2, 2, 2, cert)
+        res = runner.invoke(main, ["cache", "--cache-dir", str(tmp_path),
+                                   "verify"])
+        assert res.exit_code == EXIT_VERIFY_FAILED
+        assert res.stdout == ("block-p2-n2-r2.json: FAILED (certificate is "
+                              "not for block (p=2, n=2, r=2))\n")

@@ -1,5 +1,6 @@
 """Classifier and section machinery."""
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -22,7 +23,6 @@ from autsplit.groups import pi_order, validate_spec
 from autsplit.oracle import random_delta_element
 from autsplit.splitting import (
     SectionCertificate,
-    assemble_section,
     block_section,
     build_verified_section,
     classify,
@@ -33,7 +33,6 @@ from autsplit.splitting import (
     teichmuller_section,
     verify_section,
 )
-from autsplit.errors import MissingBlockSection
 
 
 class TestClassifyBlock:
@@ -123,22 +122,23 @@ class TestTeichmuller:
 class TestBlockSection:
     def test_trivial_kind(self):
         s = block_section(3, 1, 4)
-        assert s.kind == "trivial"
         m = ((1, 2, 0, 0), (0, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1))
-        assert s.apply(m) == m
+        assert s(m) == m
 
     def test_teichmuller_kind(self):
         s = block_section(5, 2, 1)
-        assert s.kind == "teichmuller"
-        assert s.apply(((2,),)) == ((7,),)
+        assert s(((2,),)) == ((7,),)
 
     def test_table_kind_from_search(self):
         s = block_section(3, 2, 2, seed=0)
-        assert s.kind == "table"
-        assert len(s.table) == 48
         p = 3
-        for m1, e1 in s.table.items():
-            assert tuple(tuple(x % p for x in row) for row in e1) == m1
+        gl = [m for m in (((a, b), (c, d))
+                          for a, b, c, d in itertools.product(range(p),
+                                                              repeat=4))
+              if (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % p]
+        assert len(gl) == 48
+        for m in gl:
+            assert tuple(tuple(x % p for x in row) for row in s(m)) == m
 
     def test_refuses_non_split_block(self):
         with pytest.raises(NotSplitBlock):
@@ -264,17 +264,6 @@ class TestCertificates:
         assert len(table) == pi_order(spec)
         for q, e in table.items():
             assert sigma(e) == q
-
-    def test_assemble_requires_all_blocks(self):
-        spec = validate_spec(5, [(1, 1), (2, 1)])
-        with pytest.raises(MissingBlockSection):
-            assemble_section(spec, {0: block_section(5, 1, 1)})
-
-    def test_assemble_checks_parameters(self):
-        spec = validate_spec(5, [(1, 1), (2, 1)])
-        wrong = {0: block_section(5, 1, 1), 1: block_section(3, 2, 1)}
-        with pytest.raises(MissingBlockSection):
-            assemble_section(spec, wrong)
 
     def test_build_refuses_non_split(self):
         with pytest.raises(NotSplitBlock):
