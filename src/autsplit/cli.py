@@ -22,6 +22,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 
 import click
@@ -309,7 +310,9 @@ def _batch_row(line: str, lineno: int, with_oracle: bool, seed: int,
 @click.option("--continue", "continue_on_error", is_flag=True, default=False,
               help="Keep going past malformed lines (still exits 2).")
 @click.option("--workers", type=int, default=1,
-              help="Process rows in parallel; output stays in input order.")
+              help="Process rows in parallel, in at most as many processes "
+                   "as there are lines and CPUs; output stays in input "
+                   "order.")
 def cmd_batch(input_file, with_oracle, seed, budget_assignments, budget_elems,
               fmt, continue_on_error, workers) -> None:
     """One verdict row per spec line of a JSONL file."""
@@ -323,6 +326,8 @@ def cmd_batch(input_file, with_oracle, seed, budget_assignments, budget_elems,
         _batch_row, with_oracle=with_oracle, seed=seed,
         budget_assignments=budget_assignments, budget_elems=budget_elems)
     linenos = range(1, len(lines) + 1)
+    # a process pool starts all of its workers at the first submit
+    workers = min(workers, len(lines), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -14,6 +14,12 @@ module computes them.
 Constraints are checked once, where raw data enters (`block_endo`,
 `endo_from_json`); the operations here keep them and do not re-check.
 
+The Cayley graphs of Q = prod GL_ri(F_p) and the walks along them work on
+integer numpy stacks: `gl_bfs` multiplies a whole BFS level at once,
+`quotient_graph` takes products of block graphs by arithmetic, and
+`extend_along` fills a table level by level.  `cayley_graph` and
+`extend_along_rows` are the plain versions the tests compare them with.
+
 Convention: column vectors, maps act on the left.  apply(e, v) computes the
 usual matrix-times-vector product, and compose(a, b) applies b first.
 """
@@ -142,6 +148,229 @@ def pow_rows(a: Rows, m: int, lay: Layout) -> Rows:
     return result
 
 
+def mats_mul(a: tuple[Matrix, ...], b: tuple[Matrix, ...],
+             p: int) -> tuple[Matrix, ...]:
+    """The blockwise product of two tuples of matrices over F_p."""
+    return tuple([mul_rows(x, y, itertools.repeat(p)) for x, y in zip(a, b)])
+
+
+# --- Cayley graphs as integer arrays ---
+
+@dataclass(frozen=True, eq=False)
+class CayleyGraph:
+    """The Cayley graph of a group of matrix tuples, held as integer arrays.
+
+    The group lies in a product of blocks, and `elements` holds one stack of
+    r x r matrices over F_p per block; a graph from `gl_span` has a single
+    block.  Element i is the tuple whose block j is elements[j][d_j], d_j
+    the digits of i in mixed radix over the stack lengths, block 0 the most
+    significant (`digits`).  targets[i, k] is the index of element i times
+    generator k.  A spanning tree hangs from element 0: each element i > 0
+    is element parent[i] times generator via[i], and `levels` lists the
+    elements at depth 1, 2, ... of that tree, so that a walk can fill in a
+    whole level with one batched product.  The arrays are read-only.
+    """
+
+    elements: tuple[np.ndarray, ...]
+    targets: np.ndarray
+    parent: np.ndarray
+    via: np.ndarray
+    levels: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        for a in (*self.elements, self.targets, self.parent, self.via,
+                  *self.levels):
+            a.flags.writeable = False
+
+    @property
+    def size(self) -> int:
+        return len(self.targets)
+
+    def digits(self, index):
+        """Per block, the index in that block of element `index` (an int or
+        an array of them)."""
+        out = []
+        stride = self.size
+        for block in self.elements:
+            stride //= len(block)
+            out.append(index // stride % len(block))
+        return out
+
+    def element(self, i: int) -> tuple[Matrix, ...]:
+        """Element i as a tuple of block matrices (`QElement.mats`)."""
+        return tuple(tuple(map(tuple, block[d].tolist()))
+                     for block, d in zip(self.elements, self.digits(i)))
+
+
+def gl_bfs(p: int, r: int, mats: tuple[Matrix, ...],
+           cap: int) -> CayleyGraph:
+    """The Cayley graph of the subgroup of GL_r(F_p) that `mats` generate.
+
+    A level-synchronous breadth-first walk: the whole frontier is multiplied
+    by every generator in one batched product mod p, and each product is
+    keyed by its base-p code.  New elements are numbered in the order they
+    are first met, frontier element by element and generator by generator,
+    so the elements and targets are exactly those of `cayley_graph` on
+    `mul_rows` mod p, and each element's tree edge is the first edge into
+    it.  Raises Overflow as soon as the group would exceed `cap` elements.
+    """
+    # codes below p^(r*r) and product entries below r*p^2 must fit in int64;
+    # callers keep |GL_r(F_p)| within DEFAULT_ELEMENT_BUDGET, far below that
+    assert max(p ** (r * r), r * p * p) < 2 ** 63
+    k = len(mats)
+    gens = np.array(mats, dtype=np.int64).reshape(k, r, r)
+    weights = p ** np.arange(r * r - 1, -1, -1, dtype=np.int64)
+    frontier = np.eye(r, dtype=np.int64)[None]
+    known = frontier.reshape(1, -1) @ weights  # sorted codes seen so far
+    known_index = np.zeros(1, dtype=np.int64)  # their element indices
+    stacks = [frontier]
+    targets, parents, vias, levels = [], [], [], []
+    start, size = 0, 1
+    while len(frontier):
+        prods = (np.matmul(frontier[:, None], gens) % p).reshape(-1, r, r)
+        codes = prods.reshape(-1, r * r) @ weights
+        pos = np.minimum(np.searchsorted(known, codes), len(known) - 1)
+        hit = known[pos] == codes
+        found = np.where(hit, known_index[pos], 0)
+        miss = np.flatnonzero(~hit)
+        new, first, inverse = np.unique(codes[miss], return_index=True,
+                                        return_inverse=True)
+        if size + len(new) > cap:
+            raise Overflow(f"closure exceeds cap {cap}")
+        order = np.argsort(first)  # the new codes in first-seen order
+        index = np.empty(len(new), dtype=np.int64)
+        index[order] = np.arange(size, size + len(new))
+        found[miss] = index[inverse]
+        targets.append(found)
+        seen = miss[first[order]]  # where each new element was first met
+        row, via = np.divmod(seen, k)
+        parents.append(start + row)
+        vias.append(via)
+        levels.append(np.arange(size, size + len(new)))
+        at = np.searchsorted(known, new)
+        known = np.insert(known, at, new)
+        known_index = np.insert(known_index, at, index)
+        frontier = prods[seen]
+        stacks.append(frontier)
+        start, size = size, size + len(new)
+    root = np.zeros(1, dtype=np.int64)
+    return CayleyGraph(elements=(np.concatenate(stacks),),
+                       targets=np.concatenate(targets).reshape(size, k),
+                       parent=np.concatenate([root] + parents),
+                       via=np.concatenate([root] + vias),
+                       levels=tuple(levels[:-1]))  # the last one is empty
+
+
+@lru_cache(maxsize=None)
+def gl_span(p: int, r: int, mats: tuple[Matrix, ...]):
+    """The subgroup of GL_r(F_p) that the invertible r x r `mats` generate.
+
+    Returns (size, graph), where graph is its `gl_bfs` Cayley graph when
+    `mats` generate all of GL_r(F_p), and None when they span a proper
+    subgroup.  Each (p, r, mats) is walked once per process; only the
+    graphs of generating sets are kept.  Raises Overflow past |GL_r(F_p)|
+    elements, which only singular matrices can reach.
+    """
+    order = gl_order(p, r)
+    graph = gl_bfs(p, r, mats, cap=order)
+    return graph.size, (graph if graph.size == order else None)
+
+
+def quotient_graph(spec: PGroupSpec, generators):
+    """The Cayley graph of Q = prod GL_ri(F_p) on block-embedded generators.
+
+    `generators` are tuples of per-block matrices (`QElement.mats`), each
+    the identity in every block but at most one.  Q is a direct product, so
+    its graph is the product of the per-block graphs of `gl_span`, and no
+    BFS over Q is needed:
+
+      * an element's index is the mixed-radix number whose digits are its
+        per-block indices, block 0 the most significant, so the elements
+        in index order are `itertools.product` of the block elements;
+      * a generator of block j changes digit j only, as its block graph's
+        `targets` say; a generator that is the identity everywhere is a
+        self-loop;
+      * the tree edge of an element is the tree edge, in its block, of its
+        last nonzero digit, so its depth is the sum of its digits' depths.
+
+    Returns (size, graph) as `gl_span` does: size is the order of the
+    subgroup spanned, and graph, when that is all of Q, a `CayleyGraph`
+    with one element stack per block, else None.  Raises ShapeMismatch for
+    a generator that moves two blocks.
+    """
+    idents = [mx.identity(r) for r in spec.ranks]
+    moves: list[list[int]] = [[] for _ in idents]  # per block, its generators
+    for k, mats in enumerate(generators):
+        moved = [j for j, (m, e) in enumerate(zip(mats, idents)) if m != e]
+        if len(moved) > 1:
+            raise ShapeMismatch(f"generator {k} moves blocks {moved[0]} "
+                                f"and {moved[1]}")
+        if moved:
+            moves[moved[0]].append(k)
+    spans = [gl_span(spec.p, r, tuple(generators[k][j] for k in ks))
+             for j, (r, ks) in enumerate(zip(spec.ranks, moves))]
+    size = prod(s for s, _ in spans)
+    if any(graph is None for _, graph in spans):
+        return size, None
+
+    index = np.arange(size, dtype=np.int64)
+    targets = np.repeat(index[:, None], len(generators), axis=1)
+    parent, via, depth = (np.zeros(size, dtype=np.int64) for _ in range(3))
+    stride = size
+    for (n, block), ks in zip(spans, moves):
+        stride //= n
+        d = index // stride % n
+        targets[:, ks] = (index[:, None]
+                          + (block.targets[d] - d[:, None]) * stride)
+        block_depth = np.zeros(n, dtype=np.int64)
+        for level, nodes in enumerate(block.levels, 1):
+            block_depth[nodes] = level
+        depth += block_depth[d]
+        moved = np.flatnonzero(d)  # a later block overwrites the tree edge
+        dm = d[moved]
+        parent[moved] = moved + (block.parent[dm] - dm) * stride
+        via[moved] = np.array(ks, dtype=np.int64)[block.via[dm]]
+    by_depth = np.argsort(depth, kind="stable")
+    bounds = np.cumsum(np.bincount(depth))[:-1]
+    return size, CayleyGraph(
+        elements=tuple(block.elements[0] for _, block in spans),
+        targets=targets, parent=parent, via=via,
+        levels=tuple(np.split(by_depth, bounds)[1:]))
+
+
+def extend_along(graph: CayleyGraph, images, lay: Layout) -> np.ndarray | None:
+    """Extend generator images along the edges of a Cayley graph, batched.
+
+    `graph` comes from `gl_span` or `quotient_graph`, and `images` are bare
+    rows, one per generator.  Sets T[0] = 1 and fills in the graph's tree
+    one level at a time, T[i] = T[parent[i]] * images[via[i]] for a whole
+    level in one batched product; then checks T[i] * images[k] ==
+    T[targets[i, k]] on every edge, in one product per generator.  The
+    values that agree with every edge are unique, so this accepts, rejects
+    and returns exactly what the edge-by-edge walk `extend_along_rows`
+    does, at the same |Q|*|S| compositions.  The arithmetic is `lay.dtype`:
+    int64 where it is exact, Python ints past that.
+    Returns T as a (size, D, D) array, rows reduced as `mul_rows` reduces
+    them, or None when some edge reaches a value that disagrees.
+    """
+    dtype = lay.dtype
+    D = len(lay.moduli)
+    mods = np.array(lay.moduli, dtype=dtype)[:, None]
+    hs = np.array(images, dtype=dtype).reshape(len(images), D, D)
+    table = np.empty((graph.size, D, D), dtype=dtype)
+    table[0] = np.array(lay.identity, dtype=dtype)
+    for nodes in graph.levels:
+        table[nodes] = np.matmul(table[graph.parent[nodes]],
+                                 hs[graph.via[nodes]]) % mods
+    for k, h in enumerate(hs):
+        if not np.array_equal(np.matmul(table, h) % mods,
+                              table[graph.targets[:, k]]):
+            return None
+    return table
+
+
+# --- the plain references the tests hold the arrays to ---
+
 def cayley_graph(generators, mul, identity, cap: int):
     """The elements of the group spanned by `generators`, and its Cayley edges.
 
@@ -166,16 +395,14 @@ def cayley_graph(generators, mul, identity, cap: int):
     return elements, targets
 
 
-def extend_along(targets, size: int, images, lay: Layout) -> list[Rows] | None:
-    """Extend generator images along the edges of a Cayley graph.
+def extend_along_rows(targets, size: int, images,
+                      lay: Layout) -> list[Rows] | None:
+    """`extend_along` edge by edge, on bare rows and a `cayley_graph`.
 
-    `targets` and `size` describe a graph from `cayley_graph` or
-    `quotient_graph`, `images` are bare rows, one per generator.  Sets
-    T[0] = 1 and T[j] = T[i] * images[k] for each edge i -> j of generator
-    k, in the graph's order; that order reaches every j > 0 first from some
-    i < j, so T[i] is always known.
-    Returns T, or None at the first edge that reaches a known element with
-    a different value.
+    Sets T[0] = 1 and T[j] = T[i] * images[k] for each edge i -> j of
+    generator k, in the graph's order; that order reaches every j > 0 first
+    from some i < j, so T[i] is always known.  Returns T, or None at the
+    first edge that reaches a known element with a different value.
     """
     moduli = lay.moduli
     n = len(images)
@@ -190,91 +417,6 @@ def extend_along(targets, size: int, images, lay: Layout) -> list[Rows] | None:
             elif known != y:
                 return None
     return table
-
-
-def mats_mul(a: tuple[Matrix, ...], b: tuple[Matrix, ...],
-             p: int) -> tuple[Matrix, ...]:
-    """The blockwise product of two tuples of matrices over F_p."""
-    return tuple([mul_rows(x, y, itertools.repeat(p)) for x, y in zip(a, b)])
-
-
-@lru_cache(maxsize=None)
-def gl_span(p: int, r: int, mats: tuple[Matrix, ...]):
-    """The subgroup of GL_r(F_p) that the invertible r x r `mats` generate.
-
-    Returns (size, graph), where graph is the Cayley graph (`cayley_graph`
-    on `mul_rows` mod p) when `mats` generate all of GL_r(F_p), and None
-    when they span a proper subgroup.  Each (p, r, mats) is walked once per
-    process; only the graphs of generating sets are kept.  Raises Overflow
-    past |GL_r(F_p)| elements, which only singular matrices can reach.
-    """
-    moduli = (p,) * r
-    order = gl_order(p, r)
-    graph = cayley_graph(mats, lambda a, b: mul_rows(a, b, moduli),
-                         mx.identity(r), cap=order)
-    size = len(graph[0])
-    return size, (graph if size == order else None)
-
-
-def quotient_graph(spec: PGroupSpec, generators):
-    """The Cayley graph of Q = prod GL_ri(F_p) on block-embedded generators.
-
-    `generators` are tuples of per-block matrices (`QElement.mats`), each
-    the identity in every block but at most one.  Q is a direct product, so
-    its graph is the product of the per-block graphs of `gl_span`, and no
-    BFS over Q is needed:
-
-      * an element's index is the mixed-radix number whose digits are its
-        per-block indices, block 0 the most significant, so the elements
-        in index order are `itertools.product` of the block elements;
-      * a generator of block j changes digit j only, as its block graph's
-        `targets` say; a generator that is the identity everywhere is a
-        self-loop.
-
-    Every index I > 0 is first reached from a smaller one, as
-    `extend_along` requires: lower a nonzero digit of I to the block index
-    it is first reached from.  Returns (size, graph) as `gl_span` does:
-    size is the order of the subgroup spanned, and graph, when that is all
-    of Q, is (elements, targets) as `cayley_graph` returns them, with each
-    element a tuple of block matrices, else None.  Raises ShapeMismatch for
-    a generator that moves two blocks.
-    """
-    idents = [mx.identity(r) for r in spec.ranks]
-    block_gens: list[list[Matrix]] = [[] for _ in idents]
-    owners = []  # per generator: (block, index among its gens), or None
-    for k, mats in enumerate(generators):
-        moved = [j for j, (m, e) in enumerate(zip(mats, idents)) if m != e]
-        if len(moved) > 1:
-            raise ShapeMismatch(f"generator {k} moves blocks {moved[0]} "
-                                f"and {moved[1]}")
-        if moved:
-            j = moved[0]
-            owners.append((j, len(block_gens[j])))
-            block_gens[j].append(mats[j])
-        else:
-            owners.append(None)
-    spans = [gl_span(spec.p, r, tuple(ms))
-             for r, ms in zip(spec.ranks, block_gens)]
-    size = prod(s for s, _ in spans)
-    if any(graph is None for _, graph in spans):
-        return size, None
-
-    radices = [s for s, _ in spans]
-    strides = list(itertools.accumulate(reversed(radices[1:]), mul,
-                                        initial=1))[::-1]
-    index = np.arange(size, dtype=np.int64)
-    targets = np.empty((size, len(owners)), dtype=np.int64)
-    for k, owner in enumerate(owners):
-        if owner is None:
-            targets[:, k] = index
-            continue
-        j, a = owner
-        step = np.array(spans[j][1][1], dtype=np.int64).reshape(
-            radices[j], len(block_gens[j]))[:, a]
-        digit = index // strides[j] % radices[j]
-        targets[:, k] = index + (step[digit] - digit) * strides[j]
-    elements = list(itertools.product(*[graph[0] for _, graph in spans]))
-    return size, (elements, targets.reshape(-1).tolist())
 
 
 # --- construction and validation ---

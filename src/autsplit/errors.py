@@ -82,7 +82,7 @@ class OracleBudgetExceeded(BudgetExceeded):
 
 
 class Overflow(AutSplitError):
-    """A Cayley graph (`endo.cayley_graph`) grew past its cap."""
+    """A Cayley graph (`endo.gl_bfs` or `endo.cayley_graph`) passed its cap."""
 
 
 # --- splitting / certificates ---

@@ -8,11 +8,13 @@ coset obstruction and the lift search) hold it as one (N, D, D) array and
 apply each operation to all N elements at once; `enumerate_delta` still
 yields them one by one, in the same odometer order.  The lift search tests
 each assignment with the walk that also proves a section certificate
-(`endo.extend_along` over `endo.quotient_graph`).  The generators of each
-GL_r(F_p) block are searched once per process and rank prefix, and each
-block's Cayley graph is walked once per process (`endo.gl_span`); the
-quotient's graph is their product, computed by arithmetic.  Budgets are
-explicit and enumeration order is fixed, so every run is reproducible.
+(`endo.extend_along` over `endo.quotient_graph`), batched the same way: one
+product per level of the graph's spanning tree and one per generator.  The
+generators of each GL_r(F_p) block are searched once per process and rank
+prefix, and each block's Cayley graph is walked once per process
+(`endo.gl_span`, a level-synchronous BFS on integer arrays); the quotient's
+graph is their product, computed by arithmetic.  Budgets are explicit and
+enumeration order is fixed, so every run is reproducible.
 """
 
 from __future__ import annotations
@@ -552,9 +554,13 @@ def complement_lift_search(spec: PGroupSpec,
     of the quotient's Cayley graph on the generators.  Given sigma(h_g) = g,
     the h_g span a subgroup of order |Q| that meets the kernel trivially
     exactly when g -> h_g extends along every edge to a homomorphism
-    Q -> Aut(G).  The graph is `quotient_graph`, taken at the first walk
-    from the per-block graphs that `find_generators_of_Q` already built to
-    check generation, so no search walks a group by BFS twice.
+    Q -> Aut(G).  The walk is batched, one product per level of the graph's
+    spanning tree and then one per generator over all |Q| edges; it accepts
+    exactly the assignments that the edge-by-edge walk accepts.  The graph
+    is `quotient_graph`, with its tree, taken once at the first walk from
+    the per-block graphs that `find_generators_of_Q` already built to check
+    generation, so no search walks a group by BFS twice and every
+    assignment reuses the same tree.
 
     Pruning, all soundness-preserving: lifts must have the same order as the
     generator they cover (a complement forces this); the first generator's
@@ -600,7 +606,7 @@ def complement_lift_search(spec: PGroupSpec,
             pair_orders[(i, j)] = q_order(q_mul(gens[i], gens[j]))
 
     lay = layout(spec)
-    targets = None  # built at the first walk: the pre-check may reject all
+    graph = None  # built at the first walk: the pre-check may reject all
     tried = 0
     for assignment in itertools.product(*candidates):
         tried += 1
@@ -614,9 +620,9 @@ def complement_lift_search(spec: PGroupSpec,
                         o, lay) != lay.identity
                for (i, j), o in pair_orders.items()):
             continue
-        if targets is None:
-            _, (_, targets) = quotient_graph(spec, [g.mats for g in gens])
-        if extend_along(targets, pi, assignment, lay) is not None:
+        if graph is None:
+            _, graph = quotient_graph(spec, [g.mats for g in gens])
+        if extend_along(graph, assignment, lay) is not None:
             images = tuple(BlockEndo(spec=spec, rows=h) for h in assignment)
             return SearchResult(spec, "Found", "exhaustive lift search",
                                 generators=gens, images=images,

@@ -27,10 +27,12 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .endo import (
     BlockEndo,
+    CayleyGraph,
     QElement,
-    compose,
     endo_from_json,
     endo_to_json,
     extend_along,
@@ -50,6 +52,7 @@ from .errors import (
     VerificationFailed,
 )
 from .groups import (
+    DEFAULT_ELEMENT_BUDGET,
     PGroupSpec,
     pi_order,
     spec_from_json,
@@ -197,8 +200,12 @@ def block_section(p: int, n: int, r: int,
             cache.store_block(
                 p, n, r, replace(cert, verification=report.to_json()))
     else:
-        _, report = loaded
-    return {q.mats[0]: e.rows for q, e in report.table.items()}.__getitem__
+        cert, report = loaded
+    # one block, so element i of the quotient graph is block element i
+    keys = _quotient_graph(cert).elements[0].tolist()
+    cells = report.table.tolist()
+    return {tuple(map(tuple, m)): tuple(map(tuple, c))
+            for m, c in zip(keys, cells)}.__getitem__
 
 
 # --- certificates ---
@@ -237,17 +244,22 @@ class SectionCertificate:
                    verification=dict(obj.get("verification", {})))
 
 
-def section_table(cert: SectionCertificate) -> dict[QElement, BlockEndo]:
-    """Extend the generator images to the whole quotient along Cayley edges.
+def _quotient_graph(cert: SectionCertificate) -> CayleyGraph:
+    """The Cayley graph of the certificate's generators, which must span Q.
 
-    The generators must be block-embedded (the identity in every block but
-    at most one) and span all of Q: their Cayley graph (`quotient_graph`,
-    the product of the per-block graphs) must have |Q| elements.  The
-    images must extend along its every edge (`extend_along`); otherwise
-    they do not define a map on Q.
+    The quotient's size is checked against DEFAULT_ELEMENT_BUDGET before
+    any graph is built: a proof walks all of Q, and a stored certificate
+    may name any block.  The generators must be block-embedded (the
+    identity in every block but at most one), and their graph
+    (`quotient_graph`, the product of the per-block graphs) must have |Q|
+    elements.
     """
     spec = cert.spec
     expected = pi_order(spec)
+    if expected > DEFAULT_ELEMENT_BUDGET:
+        raise VerificationFailed(
+            f"quotient has {expected} elements, more than the "
+            f"{DEFAULT_ELEMENT_BUDGET} a proof may walk")
     try:
         size, graph = quotient_graph(spec, [g.mats for g in cert.generators])
     except (Overflow, ShapeMismatch) as exc:
@@ -255,28 +267,51 @@ def section_table(cert: SectionCertificate) -> dict[QElement, BlockEndo]:
     if size != expected:
         raise VerificationFailed(f"generators span {size} quotient "
                                  f"elements, expected {expected}")
-    elements, targets = graph
-    values = extend_along(targets, size, [img.rows for img in cert.images],
-                          layout(spec))
-    if values is None:
+    return graph
+
+
+def section_table(cert: SectionCertificate) -> np.ndarray:
+    """Extend the generator images to the whole quotient along Cayley edges.
+
+    The generators must span Q (`_quotient_graph`), and the images must
+    extend along every edge of their graph (`extend_along`); otherwise
+    they do not define a map on Q.  Each value must then reduce to its
+    element: every diagonal block of T(q), mod p, is compared with block j
+    of q, read from the block graph at q's mixed-radix digit j.
+    Returns T as a (|Q|, D, D) array, in the graph's element order.
+    """
+    spec = cert.spec
+    lay = layout(spec)
+    graph = _quotient_graph(cert)
+    table = extend_along(graph, [img.rows for img in cert.images], lay)
+    if table is None:
         raise VerificationFailed("generator images are inconsistent")
-    return {QElement(p=spec.p, mats=mats): BlockEndo(spec=spec, rows=rows)
-            for mats, rows in zip(elements, values)}
+    offsets = lay.offsets
+    digits = graph.digits(np.arange(len(table)))
+    bad = np.zeros(len(table), dtype=bool)
+    for start, stop, elements, d in zip(offsets, offsets[1:],
+                                        graph.elements, digits):
+        block = table[:, start:stop, start:stop] % spec.p
+        bad |= np.any(block != elements[d], axis=(1, 2))
+    if bad.any():
+        raise VerificationFailed(
+            "table image has wrong reduction", counterexample=QElement(
+                p=spec.p, mats=graph.element(int(np.argmax(bad)))))
+    return table
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of `verify_section`.
 
-    `table` is the proven section on every quotient element; it is not part
-    of the JSON form.
+    `table` is the proven section on every quotient element, the array
+    `section_table` returns; it is not part of the JSON form.
     """
 
     mode: str
     pairs_checked: int
     ok: bool
-    table: dict[QElement, BlockEndo] = field(
-        default_factory=dict, compare=False, repr=False)
+    table: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {"mode": self.mode, "pairs": self.pairs_checked, "ok": self.ok}
@@ -294,15 +329,12 @@ def verify_section(cert: SectionCertificate, mode: str = "cayley-edges",
     direct product of its blocks (`q_mul` multiplies block by block, so the
     edges are exact), and `section_table` builds the Cayley graph of S
     (`quotient_graph`) from the graph of each block's generators in
-    GL_r(F_p), numbering the elements in mixed radix; in that order every
-    element but 1 is first reached from a smaller one, which is all the
-    walk needs.  It walks the images along the graph (`extend_along`),
-    which defines the map T:
+    GL_r(F_p), numbering the elements in mixed radix.  It walks the images
+    along the graph (`extend_along`), which defines the map T:
 
       * T(1) = 1, because the walk starts there;
       * edges: T(q*g) = T(q)*T(g) for every quotient element q and every g
-        in S, because the walk takes every edge of the graph once (an edge
-        that meets a known element with another value fails);
+        in S, because the walk checks every edge of the graph;
       * size: the graph holds |Q| elements, so every q is a word in S.
 
     For q2 = g1...gk, induction on k with the edge at q1*g1...g(k-1) and
@@ -310,7 +342,10 @@ def verify_section(cert: SectionCertificate, mode: str = "cayley-edges",
     T(q)*T(q^-1) = T(1) = 1 makes every T(q) an automorphism.  Finally
     reduction: sigma(T(q)) == q, checked on each generator first and then
     on every element, so T is a section (and so injective).  The proof costs
-    |Q|*|S| compositions, and `pairs_checked` counts those edges.
+    |Q|*|S| compositions, and `pairs_checked` counts those edges; they run
+    batched, one product per tree level and one per generator, and the
+    proof is the same as one composition at a time.  A quotient of more
+    than DEFAULT_ELEMENT_BUDGET elements fails before any graph is built.
 
     "full-table" is the reference the tests compare against: after the same
     table and reduction checks it composes every pair of quotient elements,
@@ -330,10 +365,6 @@ def verify_section(cert: SectionCertificate, mode: str = "cayley-edges",
                                      counterexample=g)
 
     table = section_table(cert)
-    for q, e in table.items():
-        if sigma(e) != q:
-            raise VerificationFailed("table image has wrong reduction",
-                                     counterexample=q)
     if mode == "cayley-edges":
         return VerificationReport(
             mode=mode, pairs_checked=len(table) * len(cert.generators),
@@ -342,13 +373,20 @@ def verify_section(cert: SectionCertificate, mode: str = "cayley-edges",
     if len(table) > full_table_limit:
         raise VerificationFailed(
             f"quotient too large for full-table mode ({len(table)})")
+    graph = _quotient_graph(cert)
+    elements = [QElement(p=cert.spec.p, mats=graph.element(i))
+                for i in range(len(table))]
+    index = {q: i for i, q in enumerate(elements)}
+    mods = np.array(layout(cert.spec).moduli, dtype=table.dtype)[:, None]
     pairs = 0
-    for q1, e1 in table.items():
-        for q2, e2 in table.items():
-            if compose(e1, e2) != table[q_mul(q1, q2)]:
-                raise VerificationFailed("homomorphism property fails",
-                                         counterexample=(q1, q2))
-            pairs += 1
+    for q1, e1 in zip(elements, table):
+        want = table[[index[q_mul(q1, q2)] for q2 in elements]]
+        bad = np.any(np.matmul(e1, table) % mods != want, axis=(1, 2))
+        if bad.any():
+            raise VerificationFailed(
+                "homomorphism property fails",
+                counterexample=(q1, elements[int(np.argmax(bad))]))
+        pairs += len(elements)
     return VerificationReport(mode=mode, pairs_checked=pairs, ok=True,
                               table=table)
 

@@ -433,13 +433,13 @@ class TestBatch:
         # the sweep's quotient graphs all come from per-block graphs, and
         # each generating set of a GL_r(F_p) is walked by BFS at most once
         walked = Counter()
-        bfs = endo.cayley_graph
+        bfs = endo.gl_bfs
 
-        def counting(generators, mul, identity, cap):
-            walked[(cap, identity, tuple(generators))] += 1
-            return bfs(generators, mul, identity, cap)
+        def counting(p, r, mats, cap):
+            walked[(p, r, mats, cap)] += 1
+            return bfs(p, r, mats, cap)
 
-        monkeypatch.setattr(endo, "cayley_graph", counting)
+        monkeypatch.setattr(endo, "gl_bfs", counting)
         for memo in (endo.gl_span, oracle.find_generators_of_Q,
                      oracle._block_generators):
             memo.cache_clear()
@@ -451,11 +451,47 @@ class TestBatch:
         assert walked and max(walked.values()) == 1
         primes = {json.loads(line)["p"]
                   for line in SWEEP50_PATH.read_text().splitlines()}
-        for cap, identity, generators in walked:
-            r = len(identity)
-            assert identity == mx.identity(r)
-            assert cap in {gl_order(p, r) for p in primes}
+        for p, r, generators, cap in walked:
+            assert p in primes
+            assert cap == gl_order(p, r)
             assert all(mx.shape(g) == (r, r) for g in generators)
+
+    @pytest.mark.parametrize("workers,cpus,expected", [
+        (1000, 64, 4),  # no more workers than lines
+        (1000, 3, 3),  # nor than CPUs
+        (3, 64, 3),
+        (1000, None, None),  # an unknown CPU count means one: no pool
+        (1, 64, None),
+    ])
+    def test_workers_are_clamped(self, runner, tmp_path, monkeypatch,
+                                 workers, cpus, expected):
+        # the pool is faked: a real one starts all its processes at once
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        f = tmp_path / "in.jsonl"
+        _write_jsonl(f, [{"p": 5, "blocks": [{"n": 2, "r": r}]}
+                         for r in (1, 2, 3, 4)])
+        res = runner.invoke(main, ["batch", str(f), "--workers",
+                                   str(workers)])
+        assert res.exit_code == 0
+        assert len(res.stdout.splitlines()) == 4
+        assert started == ([] if expected is None else [expected])
 
     def test_csv_format(self, runner, tmp_path):
         f = tmp_path / "in.jsonl"
@@ -510,3 +546,26 @@ class TestCache:
         assert res.exit_code == EXIT_VERIFY_FAILED
         assert res.stdout == ("block-p2-n2-r2.json: FAILED (certificate is "
                               "not for block (p=2, n=2, r=2))\n")
+
+    def test_verify_bounds_the_quotient_before_any_graph(self, runner,
+                                                         tmp_path,
+                                                         monkeypatch):
+        # |GL_3(F_101)| is about 10^12: the proof must fail on the size
+        # alone, not walk the generators' graph up to that cap
+        def never(*args):
+            pytest.fail("a graph was built for an oversized quotient")
+
+        monkeypatch.setattr(endo, "gl_span", never)
+        gens = [[[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+                [[0, 0, 2], [1, 0, 0], [0, 1, 0]]]
+        (tmp_path / "block-p101-n2-r3.json").write_text(json.dumps({
+            "spec": {"p": 101, "blocks": [{"n": 2, "r": 3}]},
+            "generators": [[g] for g in gens],
+            "images": [{"cells": [[g]]} for g in gens]}))
+        res = runner.invoke(main, ["cache", "--cache-dir", str(tmp_path),
+                                   "verify"])
+        assert res.exit_code == EXIT_VERIFY_FAILED
+        assert res.stdout == (
+            f"block-p101-n2-r3.json: FAILED (quotient has "
+            f"{gl_order(101, 3)} elements, more than the 1048576 a proof "
+            f"may walk)\n")

@@ -18,6 +18,8 @@ from autsplit.endo import (
     compose,
     element_order,
     extend_along,
+    extend_along_rows,
+    gl_bfs,
     gl_span,
     identity_endo,
     identity_q,
@@ -286,6 +288,67 @@ class TestGenerators:
         assert len(calls) == len(set(calls)) <= gl_order(p, r)
 
 
+class TestArrayBFS:
+    """`gl_bfs` against the plain BFS, `cayley_graph` on `mul_rows`."""
+
+    @staticmethod
+    def reference(p, r, mats, cap):
+        return cayley_graph(list(mats), lambda a, b: mul_rows(a, b, (p,) * r),
+                            mx.identity(r), cap=cap)
+
+    def check(self, p, r, mats, cap=10 ** 6):
+        graph = gl_bfs(p, r, mats, cap=cap)
+        elements, targets = self.reference(p, r, mats, cap)
+        assert [tuple(map(tuple, m)) for m in graph.elements[0].tolist()] \
+            == elements
+        assert graph.targets.shape == (len(elements), len(mats))
+        assert graph.targets.reshape(-1).tolist() == targets
+        # each element's tree edge is the first edge into it
+        first = {}
+        for e, j in enumerate(targets):
+            first.setdefault(j, divmod(e, len(mats)))
+        assert all((graph.parent[j], graph.via[j]) == first[j]
+                   for j in range(1, len(elements)))
+        assert np.concatenate(
+            (np.zeros(1, dtype=np.int64),) + graph.levels).tolist() \
+            == list(range(len(elements)))
+        return graph
+
+    @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (5, 2),
+                                     (11, 2)])
+    def test_whole_group(self, p, r):
+        mats = tuple(_gl_generators(p, r, random.Random(0)))
+        assert self.check(p, r, mats).size == gl_order(p, r)
+        assert gl_span(p, r, mats)[1] is not None
+
+    @pytest.mark.parametrize("p,r,mats,size", [
+        (3, 2, (((1, 1), (0, 1)), ((1, 0), (1, 1))), 24),  # SL_2(F_3)
+        (5, 2, (((1, 1), (0, 1)),), 5),
+        (2, 3, (((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+                ((0, 1, 0), (1, 0, 0), (0, 0, 1))), 6),
+        (11, 2, (((2, 0), (0, 1)), ((1, 0), (0, 2))), 100),
+    ])
+    def test_proper_subgroup(self, p, r, mats, size):
+        assert self.check(p, r, mats).size == size
+        assert gl_span(p, r, mats) == (size, None)
+
+    @pytest.mark.parametrize("p,r,mats", [
+        (2, 1, ()), (3, 2, ()), (2, 2, (((1, 0), (0, 1)),)),
+    ])
+    def test_trivial_group(self, p, r, mats):
+        graph = self.check(p, r, mats)
+        assert graph.size == 1 and graph.levels == ()
+
+    @pytest.mark.parametrize("cap", [1, 10, 47])
+    def test_overflow_at_the_cap(self, cap):
+        mats = tuple(_gl_generators(3, 2, random.Random(0)))
+        with pytest.raises(Overflow, match=f"cap {cap}"):
+            self.reference(3, 2, mats, cap)
+        with pytest.raises(Overflow, match=f"cap {cap}"):
+            gl_bfs(3, 2, mats, cap=cap)
+        assert gl_bfs(3, 2, mats, cap=48).size == 48
+
+
 class TestQuotientGraph:
     """The product graph by arithmetic against a BFS over `q_mul`."""
 
@@ -302,23 +365,32 @@ class TestQuotientGraph:
         # an identity generator in the middle must give self-loops
         gens = list(find_generators_of_Q(spec))
         gens.insert(1, one)
-        size, (elements, targets) = quotient_graph(
-            spec, [g.mats for g in gens])
+        size, graph = quotient_graph(spec, [g.mats for g in gens])
         ref, _ = cayley_graph(gens, q_mul, one, cap=pi_order(spec))
-        assert size == len(elements) == len(ref) == pi_order(spec)
+        elements = [graph.element(i) for i in range(size)]
+        assert size == graph.size == len(ref) == pi_order(spec)
         assert {q.mats for q in ref} == set(elements)
         assert elements[0] == one.mats
+        # index order is the product of the block elements, block 0 first
+        assert elements == list(itertools.product(*[
+            [tuple(map(tuple, m)) for m in block.tolist()]
+            for block in graph.elements]))
         n = len(gens)
-        assert len(targets) == size * n
-        first_from = {}
+        assert graph.targets.shape == (size, n)
         for i, x in enumerate(elements):
             q = QElement(p=p, mats=x)
             for k, g in enumerate(gens):
-                j = targets[i * n + k]
-                assert elements[j] == q_mul(q, g).mats
-                first_from.setdefault(j, i)
-            assert targets[i * n + 1] == i
-        assert all(first_from[j] < j for j in range(1, size))
+                assert elements[graph.targets[i, k]] == q_mul(q, g).mats
+            assert graph.targets[i, 1] == i
+        # the tree: every element one edge below a parent a level up
+        depth = {0: 0}
+        for level, nodes in enumerate(graph.levels, 1):
+            for i in nodes.tolist():
+                parent = int(graph.parent[i])
+                assert depth[parent] == level - 1
+                assert graph.targets[parent, graph.via[i]] == i
+                depth[i] = level
+        assert sorted(depth) == list(range(size))
 
     def test_proper_subgroup_has_no_graph(self):
         # one transvection spans 2 of the 6 elements of GL_2(F_2)
@@ -369,10 +441,21 @@ class TestWalkEquivalence:
         gens = find_generators_of_Q(spec)
         elements, targets = cayley_graph(gens, q_mul, identity_q(spec),
                                          cap=pi_order(spec))
+        _, graph = quotient_graph(spec, [g.mats for g in gens])
         lay = layout(spec)
+        # the plain walk's index of each element of the array graph
+        where = {q.mats: i for i, q in enumerate(elements)}
+        order = [where[graph.element(i)] for i in range(graph.size)]
 
         def walk_accepts(hs):
-            return extend_along(targets, len(elements), hs, lay) is not None
+            # the batched walk and the plain one agree, table and all
+            plain = extend_along_rows(targets, len(elements), hs, lay)
+            batched = extend_along(graph, hs, lay)
+            assert (plain is None) == (batched is None)
+            if plain is not None:
+                assert batched.tolist() == [[list(row) for row in plain[i]]
+                                            for i in order]
+            return plain is not None
 
         cosets = [[compose(_diagonal_int_lift(spec, g), d).rows
                    for d in enumerate_delta(spec)] for g in gens]

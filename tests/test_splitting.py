@@ -9,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autsplit.endo import (
+    BlockEndo,
+    QElement,
     block_endo,
     cayley_graph,
     compose,
-    extend_along,
+    extend_along_rows,
     identity_q,
     layout,
     q_mul,
+    quotient_graph,
     sigma,
 )
 from autsplit.errors import NotSplitBlock, VerificationFailed
@@ -155,7 +158,7 @@ class TestCertificates:
 
     @pytest.mark.parametrize("p,blocks", [
         (3, [(2, 2)]), (2, [(2, 2)]), (2, [(2, 3)]), (5, [(2, 1)]),
-        (5, [(1, 1), (2, 1)]), (2, [(1, 2), (2, 2)]),
+        (5, [(1, 1), (2, 1)]), (2, [(1, 2), (2, 2)]), (3, [(2, 2), (40, 1)]),
     ])
     def test_edge_proof_agrees_with_full_table(self, p, blocks):
         # the edge proof must reject exactly the certificates that the
@@ -216,6 +219,13 @@ class TestCertificates:
             images=cert.images, verification={})
         with pytest.raises(VerificationFailed):
             verify_section(swapped)
+        # past the generator check, the images still extend to a map on Q
+        # (both blocks are cyclic), which the table's reduction check fails
+        with pytest.raises(VerificationFailed,
+                           match="table image has wrong reduction") as got:
+            section_table(swapped)
+        assert got.value.counterexample == QElement(
+            p=5, mats=(((1,),), cert.generators[1].mats[1]))
 
     def test_singular_generator_caught(self):
         # (Z/9): the zero map "lifts" the singular 0 mod 3, and {1, 0} has
@@ -240,8 +250,8 @@ class TestCertificates:
         elements, targets = cayley_graph(mixed.generators, q_mul,
                                          identity_q(spec), cap=4)
         assert len(elements) == pi_order(spec) == 4
-        assert extend_along(targets, 4, [t.rows for t in mixed.images],
-                            layout(spec)) is not None
+        assert extend_along_rows(targets, 4, [t.rows for t in mixed.images],
+                                 layout(spec)) is not None
         with pytest.raises(VerificationFailed, match="moves blocks 0 and 1"):
             verify_section(mixed)
 
@@ -262,8 +272,27 @@ class TestCertificates:
         cert, _ = build_verified_section(spec)
         table = section_table(cert)
         assert len(table) == pi_order(spec)
-        for q, e in table.items():
-            assert sigma(e) == q
+        _, graph = quotient_graph(spec, [g.mats for g in cert.generators])
+        for i, rows in enumerate(table.tolist()):
+            e = BlockEndo(spec=spec, rows=tuple(map(tuple, rows)))
+            assert sigma(e) == QElement(p=spec.p, mats=graph.element(i))
+
+    def test_large_moduli_take_the_object_path(self):
+        # 3^40 overflows int64, so the walk runs on Python ints; the table
+        # must be the plain walk's, element for element
+        spec = validate_spec(3, [(2, 2), (40, 1)])
+        assert layout(spec).dtype is object
+        cert, report = build_verified_section(spec)
+        assert report.ok and report.table.dtype == object
+        elements, targets = cayley_graph(cert.generators, q_mul,
+                                         identity_q(spec), cap=pi_order(spec))
+        plain = extend_along_rows(targets, len(elements),
+                                  [e.rows for e in cert.images], layout(spec))
+        _, graph = quotient_graph(spec, [g.mats for g in cert.generators])
+        where = {q.mats: i for i, q in enumerate(elements)}
+        assert [tuple(map(tuple, t)) for t in report.table.tolist()] == [
+            plain[where[graph.element(i)]] for i in range(len(plain))]
+        assert max(x for t in plain for row in t for x in row) > 2 ** 63
 
     def test_build_refuses_non_split(self):
         with pytest.raises(NotSplitBlock):
