@@ -32,7 +32,6 @@ from .cache import CertificateCache
 from .errors import (
     BudgetExceeded,
     NotSplitBlock,
-    OracleBudgetExceeded,
     RankTooSmall,
     SpecError,
     VerificationFailed,
@@ -137,7 +136,7 @@ def cmd_section(prime, blocks, spec_file, cache_dir, seed,
     try:
         cert, report = build_verified_section(
             spec, seed=seed, oracle_budget=budget_assignments, cache=cache)
-    except (BudgetExceeded, OracleBudgetExceeded) as exc:
+    except BudgetExceeded as exc:
         click.echo(f"budget exceeded: {exc}", err=True)
         sys.exit(EXIT_BUDGET)
     except VerificationFailed as exc:
@@ -227,13 +226,9 @@ def cmd_complement_search(prime, blocks, spec_file, seed, budget_assignments,
                           budget_elems, pre_obstruction) -> None:
     """Exhaustive generator-lift search deciding splitting directly."""
     spec = _spec_from_options(prime, blocks, spec_file)
-    try:
-        result = _oracle.complement_lift_search(
-            spec, seed=seed, assignment_budget=budget_assignments,
-            delta_budget=budget_elems, pre_obstruction=pre_obstruction)
-    except BudgetExceeded as exc:
-        click.echo(f"budget exceeded: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
+    result = _oracle.complement_lift_search(
+        spec, seed=seed, assignment_budget=budget_assignments,
+        delta_budget=budget_elems, pre_obstruction=pre_obstruction)
     _echo_json(result.to_json())
     sys.exit(EXIT_BUDGET if result.outcome == "BudgetExceeded" else EXIT_OK)
 
@@ -250,7 +245,7 @@ def _oracle_cross_check(spec: PGroupSpec, outcome: str, seed: int,
             build_verified_section(spec, seed=seed,
                                    oracle_budget=budget_assignments)
             return "SectionVerified", True
-        except (BudgetExceeded, OracleBudgetExceeded):
+        except BudgetExceeded:
             return None, None
         except (VerificationFailed, NotSplitBlock):
             return "SectionFailed", False
@@ -263,12 +258,9 @@ def _oracle_cross_check(spec: PGroupSpec, outcome: str, seed: int,
             return "OrderPLiftExists", None
         return None, None
     # Unknown region: record search data; there is no verdict to agree with
-    try:
-        result = _oracle.complement_lift_search(
-            spec, seed=seed, assignment_budget=min(budget_assignments, 2 ** 14),
-            delta_budget=budget_elems)
-    except BudgetExceeded:
-        return None, None
+    result = _oracle.complement_lift_search(
+        spec, seed=seed, assignment_budget=min(budget_assignments, 2 ** 14),
+        delta_budget=budget_elems)
     if result.outcome == "BudgetExceeded":
         return None, None
     return result.outcome, None

@@ -11,6 +11,10 @@ homomorphically).  Cells are views: `BlockEndo.cell(j, k)` slices them out.
 `Layout` holds the block offsets and per-row moduli of a spec; no other
 module computes them.
 
+Stacks of flat matrices, (..., D, D) arrays in `Layout.dtype`, have one
+kernel (`bmul`, `bpow`, `is_identity`): the walks here, the Delta sweeps of
+`oracle` and the full-table proof of `splitting` all use it.
+
 Constraints are checked once, where raw data enters (`block_endo`,
 `endo_from_json`); the operations here keep them and do not re-check.
 
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
 from operator import mul
@@ -70,6 +74,8 @@ class Layout:
     columns of its diagonal cell.  dtype is what holds the flat matrix in
     numpy: int64 is exact while a row of D products fits, that is
     D * (p^n_R - 1)^2 < 2^63, and Python ints (object) take over past it.
+    `mods` (the moduli as a column) and `ident` (the identity) are read-only
+    arrays in that dtype.
     """
 
     p: int
@@ -79,6 +85,8 @@ class Layout:
     spans: tuple[tuple[int, int], ...]
     identity: Rows
     dtype: type
+    mods: np.ndarray = field(compare=False, repr=False)
+    ident: np.ndarray = field(compare=False, repr=False)
 
 
 @lru_cache(maxsize=None)
@@ -89,14 +97,22 @@ def layout(spec: PGroupSpec) -> Layout:
                for j, ((n, r), m) in enumerate(zip(spec.blocks, spec.moduli))
                for _ in range(r)]
     D = spec.total_rank
+    moduli = tuple(m for _, m, _ in per_row)
+    identity = tuple(tuple(int(i == c) for c in range(D)) for i in range(D))
+    dtype = np.int64 if D * (spec.moduli[-1] - 1) ** 2 < 2 ** 63 else object
+    mods = np.array(moduli, dtype=dtype)[:, None]
+    ident = np.array(identity, dtype=dtype)
+    mods.flags.writeable = ident.flags.writeable = False
     return Layout(
         p=spec.p,
         offsets=offsets,
-        moduli=tuple(m for _, m, _ in per_row),
+        moduli=moduli,
         exponents=tuple(n for n, _, _ in per_row),
         spans=tuple(s for _, _, s in per_row),
-        identity=tuple(tuple(int(i == c) for c in range(D)) for i in range(D)),
-        dtype=np.int64 if D * (spec.moduli[-1] - 1) ** 2 < 2 ** 63 else object,
+        identity=identity,
+        dtype=dtype,
+        mods=mods,
+        ident=ident,
     )
 
 
@@ -146,6 +162,28 @@ def pow_rows(a: Rows, m: int, lay: Layout) -> Rows:
         if m:
             a = mul_rows(a, a, lay.moduli)
     return result
+
+
+def bmul(lay: Layout, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`mul_rows` on stacks, broadcasting over the leading axes."""
+    return np.matmul(a, b) % lay.mods
+
+
+def bpow(lay: Layout, a: np.ndarray, m: int) -> np.ndarray:
+    """`pow_rows` on a stack: a^m (m >= 0) by square-and-multiply."""
+    result = np.broadcast_to(lay.ident, a.shape)
+    while m:
+        if m & 1:
+            result = bmul(lay, result, a)
+        m >>= 1
+        if m:
+            a = bmul(lay, a, a)
+    return result
+
+
+def is_identity(lay: Layout, a: np.ndarray) -> np.ndarray:
+    """Boolean mask over the leading axes: which matrices are the identity."""
+    return np.all(a == lay.ident, axis=(-2, -1))
 
 
 def mats_mul(a: tuple[Matrix, ...], b: tuple[Matrix, ...],
@@ -353,17 +391,15 @@ def extend_along(graph: CayleyGraph, images, lay: Layout) -> np.ndarray | None:
     Returns T as a (size, D, D) array, rows reduced as `mul_rows` reduces
     them, or None when some edge reaches a value that disagrees.
     """
-    dtype = lay.dtype
     D = len(lay.moduli)
-    mods = np.array(lay.moduli, dtype=dtype)[:, None]
-    hs = np.array(images, dtype=dtype).reshape(len(images), D, D)
-    table = np.empty((graph.size, D, D), dtype=dtype)
-    table[0] = np.array(lay.identity, dtype=dtype)
+    hs = np.array(images, dtype=lay.dtype).reshape(len(images), D, D)
+    table = np.empty((graph.size, D, D), dtype=lay.dtype)
+    table[0] = lay.ident
     for nodes in graph.levels:
-        table[nodes] = np.matmul(table[graph.parent[nodes]],
-                                 hs[graph.via[nodes]]) % mods
+        table[nodes] = bmul(lay, table[graph.parent[nodes]],
+                            hs[graph.via[nodes]])
     for k, h in enumerate(hs):
-        if not np.array_equal(np.matmul(table, h) % mods,
+        if not np.array_equal(bmul(lay, table, h),
                               table[graph.targets[:, k]]):
             return None
     return table

@@ -74,11 +74,7 @@ class RankTooSmall(AutSplitError):
 # --- budgets and search control flow ---
 
 class BudgetExceeded(AutSplitError):
-    """An enumeration or search exceeded its configured budget."""
-
-
-class OracleBudgetExceeded(BudgetExceeded):
-    """Section search ran out of budget before reaching a verdict."""
+    """An enumeration or search exceeded a budget; the message names which."""
 
 
 class Overflow(AutSplitError):

@@ -18,10 +18,6 @@ def mat(rows, m: int) -> Matrix:
     return tuple(tuple(x % m for x in row) for row in rows)
 
 
-def zeros(r: int, c: int) -> Matrix:
-    return tuple((0,) * c for _ in range(r))
-
-
 def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 

@@ -5,9 +5,10 @@ bijectivity is decided by applying a map to every group element, kernel
 membership by direct enumeration, and splitting by an exhaustive search over
 generator lifts.  The two proofs that sweep the whole kernel Delta (the
 coset obstruction and the lift search) hold it as one (N, D, D) array and
-apply each operation to all N elements at once; `enumerate_delta` still
-yields them one by one, in the same odometer order.  The lift search tests
-each assignment with the walk that also proves a section certificate
+apply each operation to all N elements at once, with the stack kernel of
+`endo` (`bmul`, `bpow`, `is_identity`); `enumerate_delta` still yields them
+one by one, in the same odometer order.  The lift search tests each
+assignment with the walk that also proves a section certificate
 (`endo.extend_along` over `endo.quotient_graph`), batched the same way: one
 product per level of the graph's spanning tree and one per generator.  The
 generators of each GL_r(F_p) block are searched once per process and rank
@@ -33,16 +34,21 @@ from .endo import (
     QElement,
     Rows,
     add_endos,
+    bmul,
+    bpow,
+    endo_to_json,
     extend_along,
     gl_span,
     identity_endo,
     is_automorphism,
+    is_identity,
     layout,
     mul_rows,
     pow_endo,
     pow_rows,
     q_mul,
     q_order,
+    q_to_json,
     quotient_graph,
     zero_endo,
 )
@@ -61,6 +67,7 @@ from .groups import (
     gl_order,
     pi_order,
     primitive_root,
+    spec_to_json,
 )
 
 #: Default cap on the number of lift assignments tried by the search.
@@ -77,7 +84,7 @@ def _element_table(spec: PGroupSpec):
                         indexing="ij")
     table = np.stack([g.reshape(-1) for g in grids], axis=1)
     table.flags.writeable = False
-    return table, np.array(mods, dtype=np.int64)
+    return table
 
 
 def brute_force_is_bijective(e: BlockEndo,
@@ -87,7 +94,8 @@ def brute_force_is_bijective(e: BlockEndo,
     order = group_order(spec)
     if order > budget:
         raise BudgetExceeded(f"group order {order} exceeds budget {budget}")
-    table, mods = _element_table(spec)
+    table = _element_table(spec)
+    mods = layout(spec).mods[:, 0]
     img = (table @ _flat(e).T) % mods
     weights = np.concatenate(([1], np.cumprod(mods[:-1])))
     packed = img @ weights
@@ -173,22 +181,7 @@ def count_bijective_endos(spec: PGroupSpec,
     )
 
 
-# --- the batched kernel: Delta as one (N, D, D) array ---
-#
-# A stack of flat matrices (`BlockEndo.rows`) multiplied with row i reduced
-# mod the modulus of its block is a stack of compositions.  The dtype comes
-# from `endo.layout`: int64 while exact, Python ints (object) past that.
-
-@lru_cache(maxsize=None)
-def _layout(spec: PGroupSpec):
-    """(dtype, per-row moduli as a column, identity) as numpy arrays."""
-    lay = layout(spec)
-    mods = np.array(lay.moduli, dtype=lay.dtype)[:, None]
-    ident = np.array(lay.identity, dtype=lay.dtype)
-    mods.flags.writeable = False
-    ident.flags.writeable = False
-    return lay.dtype, mods, ident
-
+# --- Delta as one (N, D, D) array, in `endo.layout(spec).dtype` ---
 
 def _flat(e: BlockEndo) -> np.ndarray:
     """The flat matrix of e as a numpy array."""
@@ -200,44 +193,22 @@ def _unflat(spec: PGroupSpec, rows: list[list[int]]) -> BlockEndo:
     return BlockEndo(spec=spec, rows=tuple(map(tuple, rows)))
 
 
-def _bmul(spec: PGroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched composition a after b; stacks broadcast over leading axes."""
-    return np.matmul(a, b) % _layout(spec)[1]
-
-
-def _bpow(spec: PGroupSpec, a: np.ndarray, m: int) -> np.ndarray:
-    """Batched a^m (m >= 0) by square-and-multiply."""
-    result = np.broadcast_to(_layout(spec)[2], a.shape)
-    while m:
-        if m & 1:
-            result = _bmul(spec, result, a)
-        m >>= 1
-        if m:
-            a = _bmul(spec, a, a)
-    return result
-
-
-def _is_identity(spec: PGroupSpec, a: np.ndarray) -> np.ndarray:
-    """Boolean mask over the leading axes: which matrices are the identity."""
-    return np.all(a == _layout(spec)[2], axis=(-2, -1))
-
-
 def _delta_array(spec: PGroupSpec,
                  budget: int = DEFAULT_DELTA_BUDGET) -> np.ndarray:
     """All of Delta as an (N, D, D) array, in the order of enumerate_delta."""
     size = delta_order(spec)
     if size > budget:
         raise BudgetExceeded(f"kernel size {size} exceeds budget {budget}")
-    dtype, mods, ident = _layout(spec)
+    lay = layout(spec)
     # entries with a single value stay 0 and add no axis to the grid
     free = [entry for entry in _free_entry_ranges(spec, kernel=True)
             if entry[3] > 1]
-    grids = np.meshgrid(*[np.arange(count, dtype=dtype) * step
+    grids = np.meshgrid(*[np.arange(count, dtype=lay.dtype) * step
                           for _, _, step, count in free], indexing="ij")
-    out = np.zeros((size,) + ident.shape, dtype=dtype)
+    out = np.zeros((size,) + lay.ident.shape, dtype=lay.dtype)
     for (i, c, _, _), grid in zip(free, grids):
         out[:, i, c] = grid.reshape(-1)
-    return (out + ident) % mods
+    return (out + lay.ident) % lay.mods
 
 
 # --- random endomorphisms (seeded, for sampling-style checks) ---
@@ -286,7 +257,6 @@ class AgreementReport:
     seed: int
 
     def to_json(self) -> dict:
-        from .groups import spec_to_json
         return {
             "spec": spec_to_json(self.spec),
             "checked": self.checked,
@@ -423,9 +393,8 @@ def _block_generators(p: int, seed: int, ranks: tuple[int, ...]):
 
 
 @lru_cache(maxsize=None)
-def find_generators_of_Q(spec: PGroupSpec, seed: int = 0,
-                         closure_budget: int = DEFAULT_ELEMENT_BUDGET,
-                         ) -> tuple[QElement, ...]:
+def find_generators_of_Q(spec: PGroupSpec,
+                         seed: int = 0) -> tuple[QElement, ...]:
     """A generating set of the product of blockwise GL groups.
 
     Per-block generators (generation checked by `gl_span`, at most two per
@@ -434,9 +403,10 @@ def find_generators_of_Q(spec: PGroupSpec, seed: int = 0,
     generators depend on (p, seed, ranks[:i + 1]) only, not on the
     exponents: `_block_generators` memoises them on that key, with the RNG
     state after each block, and replays exactly the draws of one pass.
-    The result is cached per (spec, seed, closure_budget).
+    The result is cached per (spec, seed).  Raises BudgetExceeded past
+    DEFAULT_ELEMENT_BUDGET quotient elements.
     """
-    if pi_order(spec) > closure_budget:
+    if pi_order(spec) > DEFAULT_ELEMENT_BUDGET:
         raise BudgetExceeded("quotient too large to verify generators")
     idents = [mx.identity(r) for r in spec.ranks]
     per_block, _ = _block_generators(spec.p, seed, spec.ranks)
@@ -458,7 +428,8 @@ class SearchResult:
     outcome is one of Found / NotFound / BudgetExceeded; evidence says how a
     NotFound was reached ("exhausted" is a proof of non-splitting,
     "obstruction" means the order-p coset pre-pass already ruled a section
-    out).
+    out), and which bound a BudgetExceeded met: "quotient too large",
+    "kernel too large", "assignment budget" or "time budget".
     """
 
     spec: PGroupSpec
@@ -470,8 +441,6 @@ class SearchResult:
     seed: int = 0
 
     def to_json(self) -> dict:
-        from .endo import endo_to_json, q_to_json
-        from .groups import spec_to_json
         out = {
             "spec": spec_to_json(self.spec),
             "verdict": self.outcome,
@@ -509,17 +478,18 @@ def _lift_candidates(spec: PGroupSpec, gens: tuple[QElement, ...],
     D * (p^n_R - 1)^2 < 2^63, and runs on Python ints (dtype=object) past
     that bound.
     """
+    lay = layout(spec)
     deltas = _delta_array(spec, budget=delta_budget)
     stacks = []
     for g in gens:
-        hs = _bmul(spec, _flat(_diagonal_int_lift(spec, g)), deltas)
-        hs = hs[_is_identity(spec, _bpow(spec, hs, q_order(g)))]
+        hs = bmul(lay, _flat(_diagonal_int_lift(spec, g)), deltas)
+        hs = hs[is_identity(lay, bpow(lay, hs, q_order(g)))]
         if not len(hs):
             return None
         stacks.append(hs)
 
-    delta_invs = _bpow(spec, deltas, len(deltas) - 1)
-    if not _is_identity(spec, _bmul(spec, deltas, delta_invs)).all():
+    delta_invs = bpow(lay, deltas, len(deltas) - 1)
+    if not is_identity(lay, bmul(lay, deltas, delta_invs)).all():
         raise NotAUnit("a kernel element failed its inverse check")
     reps0 = []
     seen = set()
@@ -527,7 +497,7 @@ def _lift_candidates(spec: PGroupSpec, gens: tuple[QElement, ...],
         if tuple(h.reshape(-1).tolist()) in seen:
             continue
         reps0.append(h)
-        orbit = _bmul(spec, _bmul(spec, delta_invs, h), deltas)
+        orbit = bmul(lay, bmul(lay, delta_invs, h), deltas)
         seen.update(map(tuple, orbit.reshape(len(orbit), -1).tolist()))
     stacks[0] = reps0
     return [[tuple(map(tuple, h.tolist())) for h in hs] for hs in stacks]
@@ -537,7 +507,6 @@ def complement_lift_search(spec: PGroupSpec,
                            seed: int = 0,
                            assignment_budget: int = DEFAULT_ASSIGNMENT_BUDGET,
                            delta_budget: int = DEFAULT_DELTA_BUDGET,
-                           closure_budget: int = DEFAULT_ELEMENT_BUDGET,
                            pre_obstruction: bool = True,
                            time_budget: float | None = None) -> SearchResult:
     """Decide splitting by exhausting generator-lift assignments.
@@ -562,6 +531,9 @@ def complement_lift_search(spec: PGroupSpec,
     generation, so no search walks a group by BFS twice and every
     assignment reuses the same tree.
 
+    A budget ends the search with a BudgetExceeded result whose evidence
+    names it (`SearchResult`); the search raises none.
+
     Pruning, all soundness-preserving: lifts must have the same order as the
     generator they cover (a complement forces this); the first generator's
     lift is only tried up to kernel-conjugacy (conjugating a complement by a
@@ -572,8 +544,7 @@ def complement_lift_search(spec: PGroupSpec,
     p = 5).
     """
     start = time.monotonic()
-    pi = pi_order(spec)
-    if pi > closure_budget:
+    if pi_order(spec) > DEFAULT_ELEMENT_BUDGET:
         return SearchResult(spec, "BudgetExceeded", "quotient too large",
                             seed=seed)
     if delta_order(spec) > delta_budget:
@@ -588,8 +559,7 @@ def complement_lift_search(spec: PGroupSpec,
         except (RankTooSmall, BudgetExceeded):
             pass
 
-    gens = find_generators_of_Q(spec, seed=seed,
-                                closure_budget=closure_budget)
+    gens = find_generators_of_Q(spec, seed=seed)
     if not gens:  # trivial quotient: the identity is a complement
         return SearchResult(spec, "Found", "trivial quotient",
                             generators=(), images=(), seed=seed)
@@ -642,8 +612,6 @@ class ObstructionReport:
     witness: BlockEndo | None = field(default=None, compare=False)
 
     def to_json(self) -> dict:
-        from .endo import endo_to_json
-        from .groups import spec_to_json
         out = {
             "spec": spec_to_json(self.spec),
             "coset_size": self.coset_size,
@@ -683,20 +651,21 @@ def order_p_coset_obstruction(spec: PGroupSpec,
     (dtype=object) past that bound.
     """
     p = spec.p
+    lay = layout(spec)
     pert = _transvection_perturbation(spec)
     base = add_endos(identity_endo(spec), pert)
-    coset = _bmul(spec, _flat(base), _delta_array(spec, budget=budget))
+    coset = bmul(lay, _flat(base), _delta_array(spec, budget=budget))
     # k[i] counts the p-th powers that row i needs to reach the identity;
     # only the rows not there yet are carried into the next round
     k = np.zeros(len(coset), dtype=np.int64)
-    idx = np.flatnonzero(~_is_identity(spec, coset))
+    idx = np.flatnonzero(~is_identity(lay, coset))
     x = coset[idx]
     for _ in range(spec.exponents[-1] + 2):
         if not len(idx):
             break
         k[idx] += 1
-        x = _bpow(spec, x, p)
-        keep = ~_is_identity(spec, x)
+        x = bpow(lay, x, p)
+        keep = ~is_identity(lay, x)
         idx, x = idx[keep], x[keep]
     if len(idx):
         raise RuntimeError("element order is not a small p-power")
@@ -719,7 +688,6 @@ class BinomialReport:
     seed: int
 
     def to_json(self) -> dict:
-        from .groups import spec_to_json
         return {
             "spec": spec_to_json(self.spec),
             "trials": self.trials,

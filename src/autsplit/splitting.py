@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .endo import (
     BlockEndo,
     CayleyGraph,
     QElement,
+    bmul,
     endo_from_json,
     endo_to_json,
     extend_along,
@@ -45,8 +47,8 @@ from .endo import (
     sigma,
 )
 from .errors import (
+    BudgetExceeded,
     NotSplitBlock,
-    OracleBudgetExceeded,
     Overflow,
     ShapeMismatch,
     VerificationFailed,
@@ -60,6 +62,11 @@ from .groups import (
     validate_spec,
 )
 from .matrices import Matrix
+from .oracle import (
+    DEFAULT_ASSIGNMENT_BUDGET,
+    complement_lift_search,
+    find_generators_of_Q,
+)
 
 #: Largest rank for which a non-elementary block still splits.
 RANK_BOUND = {2: 3, 3: 2}
@@ -154,8 +161,15 @@ def teichmuller_section(p: int, n: int):
     return omega
 
 
+@lru_cache(maxsize=None)
+def _searched_block(spec: PGroupSpec, seed: int, assignment_budget: int):
+    """The lift search of a one-block spec, run once per process and key."""
+    return complement_lift_search(spec, seed=seed,
+                                  assignment_budget=assignment_budget)
+
+
 def block_section(p: int, n: int, r: int,
-                  oracle_budget: int | None = None,
+                  oracle_budget: int = DEFAULT_ASSIGNMENT_BUDGET,
                   seed: int = 0,
                   cache=None) -> Callable[[Matrix], Matrix]:
     """One block's verified section, as a map from GL_r(F_p) to its cell.
@@ -163,10 +177,9 @@ def block_section(p: int, n: int, r: int,
     The map is the identity for exponent 1 and the multiplicative lift for
     rank 1; otherwise it is a lookup in the proven table of the block's
     certificate, loaded from the cache or searched for (and then stored).
-    Matrices are canonical tuples of rows, as `QElement` holds them.
+    A block is searched once per process, its certificate proved on every
+    call.  Matrices are canonical tuples of rows, as `QElement` holds them.
     """
-    from . import oracle as _oracle
-
     verdict = classify_block(p, n, r)
     if verdict.outcome != "Splits":
         raise NotSplitBlock(f"(p={p}, n={n}, r={r}) does not split")
@@ -179,13 +192,11 @@ def block_section(p: int, n: int, r: int,
     spec = validate_spec(p, [(n, r)])
     loaded = cache.load_block(p, n, r) if cache is not None else None
     if loaded is None:
-        kwargs = {"seed": seed}
-        if oracle_budget is not None:
-            kwargs["assignment_budget"] = oracle_budget
-        result = _oracle.complement_lift_search(spec, **kwargs)
+        result = _searched_block(spec, seed, oracle_budget)
         if result.outcome == "BudgetExceeded":
-            raise OracleBudgetExceeded(
-                f"section search for (p={p}, n={n}, r={r}) ran out of budget")
+            raise BudgetExceeded(
+                f"section search for (p={p}, n={n}, r={r}) ran out of "
+                f"budget: {result.evidence}")
         if result.outcome != "Found":
             raise NotSplitBlock(
                 f"search found no section for (p={p}, n={n}, r={r})")
@@ -377,11 +388,11 @@ def verify_section(cert: SectionCertificate, mode: str = "cayley-edges",
     elements = [QElement(p=cert.spec.p, mats=graph.element(i))
                 for i in range(len(table))]
     index = {q: i for i, q in enumerate(elements)}
-    mods = np.array(layout(cert.spec).moduli, dtype=table.dtype)[:, None]
+    lay = layout(cert.spec)
     pairs = 0
     for q1, e1 in zip(elements, table):
         want = table[[index[q_mul(q1, q2)] for q2 in elements]]
-        bad = np.any(np.matmul(e1, table) % mods != want, axis=(1, 2))
+        bad = np.any(bmul(lay, e1, table) != want, axis=(1, 2))
         if bad.any():
             raise VerificationFailed(
                 "homomorphism property fails",
@@ -392,7 +403,8 @@ def verify_section(cert: SectionCertificate, mode: str = "cayley-edges",
 
 
 def build_verified_section(spec: PGroupSpec, mode: str = "cayley-edges",
-                           seed: int = 0, oracle_budget: int | None = None,
+                           seed: int = 0,
+                           oracle_budget: int = DEFAULT_ASSIGNMENT_BUDGET,
                            cache=None,
                            ) -> tuple[SectionCertificate, VerificationReport]:
     """The block-diagonal section of spec, proved once as a whole.
@@ -402,8 +414,6 @@ def build_verified_section(spec: PGroupSpec, mode: str = "cayley-edges",
     `BlockEndo` (zero off the diagonal); the certificate is then proved by
     `verify_section`.
     """
-    from .oracle import find_generators_of_Q
-
     verdict = classify(spec)
     if verdict.outcome != "Splits":
         raise NotSplitBlock(f"classifier verdict is {verdict.outcome}")

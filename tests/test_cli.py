@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import autsplit
-from autsplit import endo, oracle
+from autsplit import endo, oracle, splitting
 from autsplit import matrices as mx
 from autsplit.cache import CertificateCache
 from autsplit.cli import (
@@ -132,6 +132,15 @@ class TestSection:
         res = runner.invoke(main, ["section", "-p", "3", "-b", "1:1",
                                    "-b", "2:3"])
         assert res.exit_code == EXIT_NOT_SPLIT
+
+    def test_budget_message_names_the_bound(self, runner):
+        # |Delta| = 2^18 passes the kernel budget, whatever the assignments
+        res = runner.invoke(main, ["section", "-p", "2", "-b", "3:3",
+                                   "--budget-assignments", "100000000"])
+        assert res.exit_code == EXIT_BUDGET
+        assert res.stderr == ("budget exceeded: section search for (p=2, "
+                              "n=3, r=3) ran out of budget: kernel too "
+                              "large\n")
 
     def test_cache_round_trip(self, runner, tmp_path):
         cache = tmp_path / "cache"
@@ -455,6 +464,27 @@ class TestBatch:
             assert p in primes
             assert cap == gl_order(p, r)
             assert all(mx.shape(g) == (r, r) for g in generators)
+
+    def test_each_block_searched_once(self, runner, monkeypatch):
+        # rows that share a block share its search, once per seed and
+        # assignment budget; the proof of each row's section still runs
+        searched = Counter()
+        search = oracle.complement_lift_search
+
+        def counting(spec, seed, assignment_budget, **kwargs):
+            searched[(spec, seed, assignment_budget)] += 1
+            return search(spec, seed=seed,
+                          assignment_budget=assignment_budget, **kwargs)
+
+        for module in (oracle, splitting):
+            monkeypatch.setattr(module, "complement_lift_search", counting)
+        splitting._searched_block.cache_clear()
+        res = runner.invoke(main, ["batch", str(SWEEP50_PATH),
+                                   "--with-oracle", "--budget-elems", "4096",
+                                   "--budget-assignments", "65536"])
+        assert res.exit_code == 0
+        assert hashlib.md5(res.stdout.encode()).hexdigest() == PINNED_SWEEP_MD5
+        assert searched and max(searched.values()) == 1
 
     @pytest.mark.parametrize("workers,cpus,expected", [
         (1000, 64, 4),  # no more workers than lines

@@ -6,6 +6,7 @@ element; nothing here trusts the matrix formulas on their own.
 
 import random
 
+import numpy as np
 import pytest
 
 from autsplit import matrices as mx
@@ -14,6 +15,7 @@ from autsplit.endo import (
     add_endos,
     apply,
     block_endo,
+    bpow,
     check_hom_constraints,
     compose,
     corner_mu,
@@ -27,7 +29,10 @@ from autsplit.endo import (
     in_delta,
     invert,
     is_automorphism,
+    is_identity,
+    layout,
     pow_endo,
+    pow_rows,
     q_from_json,
     q_is_invertible,
     q_mul,
@@ -70,6 +75,45 @@ ORACLE_SPECS = [
     validate_spec(3, [(1, 1), (2, 1)]),
     validate_spec(5, [(2, 1)]),
 ]
+
+
+class TestStackKernel:
+    """The (N, D, D) stack kernel against the row-tuple arithmetic."""
+
+    # int64 entries, and entries up to 65537^2 > 2^32 on Python ints
+    KERNEL_SPECS = [((3, [(1, 1), (2, 2)]), np.int64),
+                    ((65537, [(2, 2)]), object)]
+
+    @pytest.mark.parametrize("key,dtype", KERNEL_SPECS)
+    def test_layout_arrays(self, key, dtype):
+        lay = layout(validate_spec(*key))
+        assert lay.dtype is dtype
+        for arr in (lay.mods, lay.ident):
+            assert arr.dtype == dtype
+            assert not arr.flags.writeable
+        assert lay.mods.tolist() == [[m] for m in lay.moduli]
+        assert lay.ident.tolist() == [list(row) for row in lay.identity]
+        with pytest.raises(ValueError):
+            lay.ident[0, 0] = 0
+
+    @pytest.mark.parametrize("key,dtype", KERNEL_SPECS)
+    def test_bpow_and_is_identity_match_pow_rows(self, key, dtype):
+        spec = validate_spec(*key)
+        lay = layout(spec)
+        rng = random.Random(0)
+        rows = [identity_endo(spec).rows] + [
+            random_delta_element(spec, rng).rows for _ in range(5)]
+        stack = np.array(rows, dtype=lay.dtype)
+        assert stack.dtype == dtype
+        masks = []
+        for m in (0, 1, 2, spec.p - 1, spec.p, spec.p ** 2 + 1):
+            got = bpow(lay, stack, m)
+            want = [pow_rows(a, m, lay) for a in rows]
+            assert got.tolist() == [[list(r) for r in w] for w in want]
+            mask = is_identity(lay, got).tolist()
+            assert mask == [w == lay.identity for w in want]
+            masks += mask
+        assert True in masks and False in masks
 
 
 class TestConstruction:

@@ -13,6 +13,7 @@ from autsplit.endo import (
     BlockEndo,
     QElement,
     add_endos,
+    bmul,
     cayley_graph,
     check_hom_constraints,
     compose,
@@ -48,12 +49,10 @@ from autsplit.groups import (
 )
 from autsplit.oracle import (
     _block_generators,
-    _bmul,
     _delta_array,
     _diagonal_int_lift,
     _flat,
     _gl_generators,
-    _layout,
     _transvection_perturbation,
     _unflat,
     bijective_equivalence_report,
@@ -510,8 +509,9 @@ class TestComplementSearch:
 
     def test_budget_exceeded_paths(self):
         big_quotient = validate_spec(2, [(2, 8)])
-        assert complement_lift_search(
-            big_quotient, closure_budget=1000).outcome == "BudgetExceeded"
+        result = complement_lift_search(big_quotient)
+        assert (result.outcome, result.evidence) == ("BudgetExceeded",
+                                                     "quotient too large")
         big_kernel = validate_spec(2, [(4, 3)])
         assert complement_lift_search(
             big_kernel, delta_budget=1000).outcome == "BudgetExceeded"
@@ -656,11 +656,11 @@ class TestBatchedKernel:
     def test_large_entries_take_the_object_path(self):
         spec = validate_spec(65537, [(2, 2)])  # entries up to 65537^2 > 2^32
         m = spec.moduli[0]
-        assert _layout(spec)[0] is object
+        assert layout(spec).dtype is object
         rng = random.Random(0)
         mats = [tuple(tuple(rng.randrange(2 ** 31, m) for _ in range(2))
                       for _ in range(2)) for _ in range(6)]
         stack = [_flat(_unflat(spec, [list(r) for r in a])) for a in mats]
-        got = _bmul(spec, stack[0], np.stack(stack[1:]))
+        got = bmul(layout(spec), stack[0], np.stack(stack[1:]))
         assert got.tolist() == [[list(r) for r in mx.mat_mul(mats[0], b, m)]
                                 for b in mats[1:]]
