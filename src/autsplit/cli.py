@@ -251,8 +251,11 @@ def _oracle_cross_check(spec: PGroupSpec, outcome: str, seed: int,
             return "SectionFailed", False
     if outcome == "DoesNotSplit":
         if spec.ranks[0] >= 2 and delta_order(spec) <= budget_elems:
-            report = _oracle.order_p_coset_obstruction(spec,
-                                                       budget=budget_elems)
+            try:
+                report = _oracle.order_p_coset_obstruction(
+                    spec, budget=budget_elems)
+            except BudgetExceeded:  # the kernel array's byte bound
+                return None, None
             if report.verdict == "NoOrderPLift":
                 return "NoOrderPLift", True
             return "OrderPLiftExists", None

@@ -18,11 +18,11 @@ kernel (`bmul`, `bpow`, `is_identity`): the walks here, the Delta sweeps of
 Constraints are checked once, where raw data enters (`block_endo`,
 `endo_from_json`); the operations here keep them and do not re-check.
 
-The Cayley graphs of Q = prod GL_ri(F_p) and the walks along them work on
-integer numpy stacks: `gl_bfs` multiplies a whole BFS level at once,
-`quotient_graph` takes products of block graphs by arithmetic, and
-`extend_along` fills a table level by level.  `cayley_graph` and
-`extend_along_rows` are the plain versions the tests compare them with.
+Maps on Q = prod GL_ri(F_p) are checked block by block (`block_graphs`,
+`extend_by_blocks`), on integer numpy stacks: `gl_bfs` multiplies a whole
+BFS level at once, and `extend_along` fills a table level by level.
+`cayley_graph` and `extend_along_rows` are the plain versions, which the
+reference proof and the tests use.
 
 Convention: column vectors, maps act on the left.  apply(e, v) computes the
 usual matrix-times-vector product, and compose(a, b) applies b first.
@@ -34,7 +34,6 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import prod
 from operator import mul
 
 import numpy as np
@@ -196,27 +195,24 @@ def mats_mul(a: tuple[Matrix, ...], b: tuple[Matrix, ...],
 
 @dataclass(frozen=True, eq=False)
 class CayleyGraph:
-    """The Cayley graph of a group of matrix tuples, held as integer arrays.
+    """The Cayley graph of a group of r x r matrices, held as integer arrays.
 
-    The group lies in a product of blocks, and `elements` holds one stack of
-    r x r matrices over F_p per block; a graph from `gl_span` has a single
-    block.  Element i is the tuple whose block j is elements[j][d_j], d_j
-    the digits of i in mixed radix over the stack lengths, block 0 the most
-    significant (`digits`).  targets[i, k] is the index of element i times
-    generator k.  A spanning tree hangs from element 0: each element i > 0
-    is element parent[i] times generator via[i], and `levels` lists the
-    elements at depth 1, 2, ... of that tree, so that a walk can fill in a
-    whole level with one batched product.  The arrays are read-only.
+    `elements` is the stack of its matrices.  targets[i, k] is the index of
+    element i times generator k.  A spanning tree hangs from element 0: each
+    element i > 0 is element parent[i] times generator via[i], and `levels`
+    lists the elements at depth 1, 2, ... of that tree, so that a walk can
+    fill in a whole level with one batched product.  The arrays are
+    read-only.
     """
 
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
     targets: np.ndarray
     parent: np.ndarray
     via: np.ndarray
     levels: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        for a in (*self.elements, self.targets, self.parent, self.via,
+        for a in (self.elements, self.targets, self.parent, self.via,
                   *self.levels):
             a.flags.writeable = False
 
@@ -224,20 +220,8 @@ class CayleyGraph:
     def size(self) -> int:
         return len(self.targets)
 
-    def digits(self, index):
-        """Per block, the index in that block of element `index` (an int or
-        an array of them)."""
-        out = []
-        stride = self.size
-        for block in self.elements:
-            stride //= len(block)
-            out.append(index // stride % len(block))
-        return out
-
-    def element(self, i: int) -> tuple[Matrix, ...]:
-        """Element i as a tuple of block matrices (`QElement.mats`)."""
-        return tuple(tuple(map(tuple, block[d].tolist()))
-                     for block, d in zip(self.elements, self.digits(i)))
+    def element(self, i: int) -> Matrix:
+        return tuple(map(tuple, self.elements[i].tolist()))
 
 
 def gl_bfs(p: int, r: int, mats: tuple[Matrix, ...],
@@ -292,7 +276,7 @@ def gl_bfs(p: int, r: int, mats: tuple[Matrix, ...],
         stacks.append(frontier)
         start, size = size, size + len(new)
     root = np.zeros(1, dtype=np.int64)
-    return CayleyGraph(elements=(np.concatenate(stacks),),
+    return CayleyGraph(elements=np.concatenate(stacks),
                        targets=np.concatenate(targets).reshape(size, k),
                        parent=np.concatenate([root] + parents),
                        via=np.concatenate([root] + vias),
@@ -314,30 +298,18 @@ def gl_span(p: int, r: int, mats: tuple[Matrix, ...]):
     return graph.size, (graph if graph.size == order else None)
 
 
-def quotient_graph(spec: PGroupSpec, generators):
-    """The Cayley graph of Q = prod GL_ri(F_p) on block-embedded generators.
+def block_graphs(spec: PGroupSpec, generators):
+    """Sort generators by the block they move, and take each block's graph.
 
-    `generators` are tuples of per-block matrices (`QElement.mats`), each
-    the identity in every block but at most one.  Q is a direct product, so
-    its graph is the product of the per-block graphs of `gl_span`, and no
-    BFS over Q is needed:
-
-      * an element's index is the mixed-radix number whose digits are its
-        per-block indices, block 0 the most significant, so the elements
-        in index order are `itertools.product` of the block elements;
-      * a generator of block j changes digit j only, as its block graph's
-        `targets` say; a generator that is the identity everywhere is a
-        self-loop;
-      * the tree edge of an element is the tree edge, in its block, of its
-        last nonzero digit, so its depth is the sum of its digits' depths.
-
-    Returns (size, graph) as `gl_span` does: size is the order of the
-    subgroup spanned, and graph, when that is all of Q, a `CayleyGraph`
-    with one element stack per block, else None.  Raises ShapeMismatch for
-    a generator that moves two blocks.
+    `generators` are tuples of per-block matrices (`QElement.mats`).
+    Returns (moves, graphs): moves[j] lists the indices of the generators
+    that move block j, and graphs[j] is the `gl_span` graph of their block-j
+    matrices, None when they do not generate GL_rj(F_p).  A generator in no
+    moves[j] is the identity.  Raises ShapeMismatch for a generator that
+    moves two blocks.
     """
     idents = [mx.identity(r) for r in spec.ranks]
-    moves: list[list[int]] = [[] for _ in idents]  # per block, its generators
+    moves: list[list[int]] = [[] for _ in idents]
     for k, mats in enumerate(generators):
         moved = [j for j, (m, e) in enumerate(zip(mats, idents)) if m != e]
         if len(moved) > 1:
@@ -345,54 +317,27 @@ def quotient_graph(spec: PGroupSpec, generators):
                                 f"and {moved[1]}")
         if moved:
             moves[moved[0]].append(k)
-    spans = [gl_span(spec.p, r, tuple(generators[k][j] for k in ks))
-             for j, (r, ks) in enumerate(zip(spec.ranks, moves))]
-    size = prod(s for s, _ in spans)
-    if any(graph is None for _, graph in spans):
-        return size, None
-
-    index = np.arange(size, dtype=np.int64)
-    targets = np.repeat(index[:, None], len(generators), axis=1)
-    parent, via, depth = (np.zeros(size, dtype=np.int64) for _ in range(3))
-    stride = size
-    for (n, block), ks in zip(spans, moves):
-        stride //= n
-        d = index // stride % n
-        targets[:, ks] = (index[:, None]
-                          + (block.targets[d] - d[:, None]) * stride)
-        block_depth = np.zeros(n, dtype=np.int64)
-        for level, nodes in enumerate(block.levels, 1):
-            block_depth[nodes] = level
-        depth += block_depth[d]
-        moved = np.flatnonzero(d)  # a later block overwrites the tree edge
-        dm = d[moved]
-        parent[moved] = moved + (block.parent[dm] - dm) * stride
-        via[moved] = np.array(ks, dtype=np.int64)[block.via[dm]]
-    by_depth = np.argsort(depth, kind="stable")
-    bounds = np.cumsum(np.bincount(depth))[:-1]
-    return size, CayleyGraph(
-        elements=tuple(block.elements[0] for _, block in spans),
-        targets=targets, parent=parent, via=via,
-        levels=tuple(np.split(by_depth, bounds)[1:]))
+    return moves, [gl_span(spec.p, r, tuple(generators[k][j] for k in ks))[1]
+                   for j, (r, ks) in enumerate(zip(spec.ranks, moves))]
 
 
-def extend_along(graph: CayleyGraph, images, lay: Layout) -> np.ndarray | None:
+def extend_along(graph: CayleyGraph, hs: np.ndarray,
+                 lay: Layout) -> np.ndarray | None:
     """Extend generator images along the edges of a Cayley graph, batched.
 
-    `graph` comes from `gl_span` or `quotient_graph`, and `images` are bare
-    rows, one per generator.  Sets T[0] = 1 and fills in the graph's tree
-    one level at a time, T[i] = T[parent[i]] * images[via[i]] for a whole
-    level in one batched product; then checks T[i] * images[k] ==
-    T[targets[i, k]] on every edge, in one product per generator.  The
-    values that agree with every edge are unique, so this accepts, rejects
-    and returns exactly what the edge-by-edge walk `extend_along_rows`
-    does, at the same |Q|*|S| compositions.  The arithmetic is `lay.dtype`:
-    int64 where it is exact, Python ints past that.
+    `hs` is the (k, D, D) stack of the images in `lay.dtype`, one per
+    generator of `graph`.  Sets T[0] = 1 and fills in the graph's tree one
+    level at a time, T[i] = T[parent[i]] * hs[via[i]] for a whole level in
+    one batched product; then checks T[i] * hs[k] == T[targets[i, k]] on
+    every edge, in one product per generator.  The values that agree with
+    every edge are unique, so this accepts, rejects and returns exactly what
+    the edge-by-edge walk `extend_along_rows` does, at the same size*k
+    compositions.  The arithmetic is `lay.dtype`: int64 where it is exact,
+    Python ints past that.
     Returns T as a (size, D, D) array, rows reduced as `mul_rows` reduces
     them, or None when some edge reaches a value that disagrees.
     """
     D = len(lay.moduli)
-    hs = np.array(images, dtype=lay.dtype).reshape(len(images), D, D)
     table = np.empty((graph.size, D, D), dtype=lay.dtype)
     table[0] = lay.ident
     for nodes in graph.levels:
@@ -405,7 +350,32 @@ def extend_along(graph: CayleyGraph, images, lay: Layout) -> np.ndarray | None:
     return table
 
 
-# --- the plain references the tests hold the arrays to ---
+def extend_by_blocks(moves, graphs, images,
+                     lay: Layout) -> list[np.ndarray] | None:
+    """Extend generator images (bare rows) to a homomorphism of Q, by blocks.
+
+    Q is the direct product of its blocks: the relations of each block and
+    the commutators of generators of different blocks present it.  So, with
+    the moves and graphs of `block_graphs`, the images extend to a
+    homomorphism Q -> Aut(G) exactly when a generator that moves no block
+    maps to 1, images of generators of different blocks commute, and each
+    block's images extend along its graph (`extend_along`, on the full
+    D x D images).  Returns each block's table, or None when a check fails.
+    """
+    D = len(lay.moduli)
+    hs = np.array(images, dtype=lay.dtype).reshape(len(images), D, D)
+    if not is_identity(lay, np.delete(hs, sum(moves, []), axis=0)).all():
+        return None
+    for j, ks in enumerate(moves):
+        a, b = hs[ks][:, None], hs[sum(moves[j + 1:], [])][None]
+        if not np.array_equal(bmul(lay, a, b), bmul(lay, b, a)):
+            return None
+    tables = [extend_along(graph, hs[ks], lay)
+              for ks, graph in zip(moves, graphs)]
+    return None if any(t is None for t in tables) else tables
+
+
+# --- the plain references: the full-table proof and the tests use them ---
 
 def cayley_graph(generators, mul, identity, cap: int):
     """The elements of the group spanned by `generators`, and its Cayley edges.

@@ -264,10 +264,9 @@ def gl_order(p: int, r: int) -> int:
 def delta_order_exponent(spec: PGroupSpec) -> int:
     """Exponent a with |ker(reduction mod p)| = p^a.
 
-    Diagonal cells contribute r_i^2 (n_i - 1) free p-adic digits each (the
-    diagonal is constrained to vanish mod p); an off-diagonal cell (j,k)
-    contributes r_j r_k min(n_j, n_k) digits, the divisibility constraint
-    eating the rest.
+    Each diagonal cell contributes r_i^2 (n_i - 1) to a (the diagonal is
+    constrained to vanish mod p); an off-diagonal cell (j,k) contributes
+    r_j r_k min(n_j, n_k), the divisibility constraint eating the rest.
     """
     a = 0
     for i, (ni, ri) in enumerate(spec.blocks):

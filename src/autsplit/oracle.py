@@ -8,13 +8,12 @@ coset obstruction and the lift search) hold it as one (N, D, D) array and
 apply each operation to all N elements at once, with the stack kernel of
 `endo` (`bmul`, `bpow`, `is_identity`); `enumerate_delta` still yields them
 one by one, in the same odometer order.  The lift search tests each
-assignment with the walk that also proves a section certificate
-(`endo.extend_along` over `endo.quotient_graph`), batched the same way: one
-product per level of the graph's spanning tree and one per generator.  The
-generators of each GL_r(F_p) block are searched once per process and rank
-prefix, and each block's Cayley graph is walked once per process
-(`endo.gl_span`, a level-synchronous BFS on integer arrays); the quotient's
-graph is their product, computed by arithmetic.  Budgets are explicit and
+assignment with the check that also proves a section certificate
+(`endo.extend_by_blocks`), batched the same way: one product per level of
+each block graph's spanning tree and one per generator.  The generators of
+each GL_r(F_p) block are searched once per process and rank prefix, and
+each block's Cayley graph is walked once per process (`endo.gl_span`, a
+level-synchronous BFS on integer arrays).  Budgets are explicit and
 enumeration order is fixed, so every run is reproducible.
 """
 
@@ -34,10 +33,11 @@ from .endo import (
     QElement,
     Rows,
     add_endos,
+    block_graphs,
     bmul,
     bpow,
     endo_to_json,
-    extend_along,
+    extend_by_blocks,
     gl_span,
     identity_endo,
     is_automorphism,
@@ -49,7 +49,6 @@ from .endo import (
     q_mul,
     q_order,
     q_to_json,
-    quotient_graph,
     zero_endo,
 )
 from .errors import (
@@ -65,13 +64,16 @@ from .groups import (
     delta_order,
     group_order,
     gl_order,
-    pi_order,
     primitive_root,
     spec_to_json,
 )
 
 #: Default cap on the number of lift assignments tried by the search.
 DEFAULT_ASSIGNMENT_BUDGET = 2 ** 22
+
+#: Largest (|Delta|, D, D) array of 8-byte entries that a sweep of Delta
+#: may build; its temporaries take the peak to about five times that.
+KERNEL_BYTES = 2 ** 28
 
 
 # --- vectorized element table ---
@@ -193,12 +195,20 @@ def _unflat(spec: PGroupSpec, rows: list[list[int]]) -> BlockEndo:
     return BlockEndo(spec=spec, rows=tuple(map(tuple, rows)))
 
 
-def _delta_array(spec: PGroupSpec,
-                 budget: int = DEFAULT_DELTA_BUDGET) -> np.ndarray:
-    """All of Delta as an (N, D, D) array, in the order of enumerate_delta."""
+def _kernel_size(spec: PGroupSpec, budget: int) -> int:
+    """|Delta|; BudgetExceeded past `budget` or past KERNEL_BYTES."""
     size = delta_order(spec)
     if size > budget:
         raise BudgetExceeded(f"kernel size {size} exceeds budget {budget}")
+    if size * spec.total_rank ** 2 * 8 > KERNEL_BYTES:
+        raise BudgetExceeded(f"kernel array exceeds {KERNEL_BYTES} bytes")
+    return size
+
+
+def _delta_array(spec: PGroupSpec,
+                 budget: int = DEFAULT_DELTA_BUDGET) -> np.ndarray:
+    """All of Delta as an (N, D, D) array, in the order of enumerate_delta."""
+    size = _kernel_size(spec, budget)
     lay = layout(spec)
     # entries with a single value stay 0 and add no axis to the grid
     free = [entry for entry in _free_entry_ranges(spec, kernel=True)
@@ -310,7 +320,7 @@ def _gl_generators(p: int, r: int, rng: random.Random):
     Pairs whose orders are coprime to p are preferred: the lift search then
     prunes their whole candidate coset down to a few conjugacy classes.
     Generation is checked with `gl_span`, which keeps the Cayley graph of
-    the winning set for the quotient graphs built on it later.  A search
+    the winning set for the proofs and searches that walk it later.  A search
     draws the same few matrices again and again when p^(r*r) is small (the
     400 draws of the p'-pass for GL_2(F_2), which no p'-pair generates), so
     it tests each matrix's invertibility and order once; the draws, and so
@@ -404,9 +414,9 @@ def find_generators_of_Q(spec: PGroupSpec,
     exponents: `_block_generators` memoises them on that key, with the RNG
     state after each block, and replays exactly the draws of one pass.
     The result is cached per (spec, seed).  Raises BudgetExceeded past
-    DEFAULT_ELEMENT_BUDGET quotient elements.
+    DEFAULT_ELEMENT_BUDGET elements in a block.
     """
-    if pi_order(spec) > DEFAULT_ELEMENT_BUDGET:
+    if gl_order(spec.p, max(spec.ranks)) > DEFAULT_ELEMENT_BUDGET:
         raise BudgetExceeded("quotient too large to verify generators")
     idents = [mx.identity(r) for r in spec.ranks]
     per_block, _ = _block_generators(spec.p, seed, spec.ranks)
@@ -518,18 +528,16 @@ def complement_lift_search(spec: PGroupSpec,
     complement.  Trying every assignment is therefore a complete decision
     procedure: NotFound after exhaustion proves non-splitting.
 
-    The test of an assignment is the walk that proves a section certificate
-    (`verify_section`): `extend_along` walks the assignment along the edges
-    of the quotient's Cayley graph on the generators.  Given sigma(h_g) = g,
-    the h_g span a subgroup of order |Q| that meets the kernel trivially
-    exactly when g -> h_g extends along every edge to a homomorphism
-    Q -> Aut(G).  The walk is batched, one product per level of the graph's
-    spanning tree and then one per generator over all |Q| edges; it accepts
-    exactly the assignments that the edge-by-edge walk accepts.  The graph
-    is `quotient_graph`, with its tree, taken once at the first walk from
-    the per-block graphs that `find_generators_of_Q` already built to check
-    generation, so no search walks a group by BFS twice and every
-    assignment reuses the same tree.
+    The test of an assignment is the check that proves a section
+    certificate (`verify_section`).  Given sigma(h_g) = g, the h_g span a
+    subgroup of order |Q| that meets the kernel trivially exactly when
+    g -> h_g extends to a homomorphism Q -> Aut(G), which
+    `extend_by_blocks` decides block by block: the images of different
+    blocks commute, and each block's images extend along every edge of its
+    Cayley graph, one product per level of the graph's spanning tree and
+    then one per generator.  The block graphs are those that
+    `find_generators_of_Q` already built to check generation, so no search
+    walks a group by BFS twice, and no search walks Q.
 
     A budget ends the search with a BudgetExceeded result whose evidence
     names it (`SearchResult`); the search raises none.
@@ -544,10 +552,12 @@ def complement_lift_search(spec: PGroupSpec,
     p = 5).
     """
     start = time.monotonic()
-    if pi_order(spec) > DEFAULT_ELEMENT_BUDGET:
+    if gl_order(spec.p, max(spec.ranks)) > DEFAULT_ELEMENT_BUDGET:
         return SearchResult(spec, "BudgetExceeded", "quotient too large",
                             seed=seed)
-    if delta_order(spec) > delta_budget:
+    try:
+        _kernel_size(spec, delta_budget)
+    except BudgetExceeded:
         return SearchResult(spec, "BudgetExceeded", "kernel too large",
                             seed=seed)
     # the scan needs ranks[0] >= 2, so the quotient is not trivial here
@@ -576,7 +586,7 @@ def complement_lift_search(spec: PGroupSpec,
             pair_orders[(i, j)] = q_order(q_mul(gens[i], gens[j]))
 
     lay = layout(spec)
-    graph = None  # built at the first walk: the pre-check may reject all
+    graphs = None  # taken at the first walk: the pre-check may reject all
     tried = 0
     for assignment in itertools.product(*candidates):
         tried += 1
@@ -590,9 +600,9 @@ def complement_lift_search(spec: PGroupSpec,
                         o, lay) != lay.identity
                for (i, j), o in pair_orders.items()):
             continue
-        if graph is None:
-            _, graph = quotient_graph(spec, [g.mats for g in gens])
-        if extend_along(graph, assignment, lay) is not None:
+        if graphs is None:
+            moves, graphs = block_graphs(spec, [g.mats for g in gens])
+        if extend_by_blocks(moves, graphs, assignment, lay) is not None:
             images = tuple(BlockEndo(spec=spec, rows=h) for h in assignment)
             return SearchResult(spec, "Found", "exhaustive lift search",
                                 generators=gens, images=images,

@@ -19,11 +19,12 @@ and a lookup in the proven table of a searched (or cached) certificate for
 the exceptional small-rank p = 2, 3 blocks.  The section of G is their
 block-diagonal sum: `build_verified_section` writes each block's image of
 each quotient generator into the rows of one `BlockEndo` and proves the
-certificate once, in full (`verify_section`).
+certificate once, in full and block by block (`verify_section`).
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -32,18 +33,20 @@ import numpy as np
 
 from .endo import (
     BlockEndo,
-    CayleyGraph,
     QElement,
+    block_graphs,
     bmul,
+    cayley_graph,
     endo_from_json,
     endo_to_json,
-    extend_along,
+    extend_along_rows,
+    extend_by_blocks,
+    identity_q,
     layout,
     q_from_json,
     q_is_invertible,
     q_mul,
     q_to_json,
-    quotient_graph,
     sigma,
 )
 from .errors import (
@@ -56,6 +59,7 @@ from .errors import (
 from .groups import (
     DEFAULT_ELEMENT_BUDGET,
     PGroupSpec,
+    gl_order,
     pi_order,
     spec_from_json,
     spec_to_json,
@@ -164,8 +168,10 @@ def teichmuller_section(p: int, n: int):
 @lru_cache(maxsize=None)
 def _searched_block(spec: PGroupSpec, seed: int, assignment_budget: int):
     """The lift search of a one-block spec, run once per process and key."""
+    # the coset scan can only prove that a block does not split
     return complement_lift_search(spec, seed=seed,
-                                  assignment_budget=assignment_budget)
+                                  assignment_budget=assignment_budget,
+                                  pre_obstruction=False)
 
 
 def block_section(p: int, n: int, r: int,
@@ -212,9 +218,9 @@ def block_section(p: int, n: int, r: int,
                 p, n, r, replace(cert, verification=report.to_json()))
     else:
         cert, report = loaded
-    # one block, so element i of the quotient graph is block element i
-    keys = _quotient_graph(cert).elements[0].tolist()
-    cells = report.table.tolist()
+    _, (graph,) = _block_graphs(cert)
+    keys = graph.elements.tolist()
+    cells = report.tables[0].tolist()
     return {tuple(map(tuple, m)): tuple(map(tuple, c))
             for m, c in zip(keys, cells)}.__getitem__
 
@@ -255,74 +261,76 @@ class SectionCertificate:
                    verification=dict(obj.get("verification", {})))
 
 
-def _quotient_graph(cert: SectionCertificate) -> CayleyGraph:
-    """The Cayley graph of the certificate's generators, which must span Q.
+def _block_graphs(cert: SectionCertificate):
+    """`block_graphs` of the certificate's generators, which must span Q.
 
-    The quotient's size is checked against DEFAULT_ELEMENT_BUDGET before
-    any graph is built: a proof walks all of Q, and a stored certificate
-    may name any block.  The generators must be block-embedded (the
-    identity in every block but at most one), and their graph
-    (`quotient_graph`, the product of the per-block graphs) must have |Q|
-    elements.
+    The largest block is checked against DEFAULT_ELEMENT_BUDGET before any
+    graph is built: a proof walks every block, and a stored certificate may
+    name any block.
     """
     spec = cert.spec
-    expected = pi_order(spec)
-    if expected > DEFAULT_ELEMENT_BUDGET:
+    largest = gl_order(spec.p, max(spec.ranks))
+    if largest > DEFAULT_ELEMENT_BUDGET:
         raise VerificationFailed(
-            f"quotient has {expected} elements, more than the "
+            f"a block of the quotient has {largest} elements, more than the "
             f"{DEFAULT_ELEMENT_BUDGET} a proof may walk")
     try:
-        size, graph = quotient_graph(spec, [g.mats for g in cert.generators])
+        moves, graphs = block_graphs(spec, [g.mats for g in cert.generators])
     except (Overflow, ShapeMismatch) as exc:
         raise VerificationFailed(f"generators: {exc}") from None
-    if size != expected:
-        raise VerificationFailed(f"generators span {size} quotient "
-                                 f"elements, expected {expected}")
-    return graph
+    for j, (r, graph) in enumerate(zip(spec.ranks, graphs)):
+        if graph is None:
+            raise VerificationFailed(f"generators of block {j} do not "
+                                     f"generate GL_{r}(F_{spec.p})")
+    return moves, graphs
 
 
-def section_table(cert: SectionCertificate) -> np.ndarray:
-    """Extend the generator images to the whole quotient along Cayley edges.
+def block_tables(cert: SectionCertificate) -> tuple[list[np.ndarray], int]:
+    """Prove that the images extend to a section, block by block.
 
-    The generators must span Q (`_quotient_graph`), and the images must
-    extend along every edge of their graph (`extend_along`); otherwise
-    they do not define a map on Q.  Each value must then reduce to its
-    element: every diagonal block of T(q), mod p, is compared with block j
-    of q, read from the block graph at q's mixed-radix digit j.
-    Returns T as a (|Q|, D, D) array, in the graph's element order.
+    The images must extend to a homomorphism T of Q (`extend_by_blocks`),
+    and each T_j(m), m in GL_rj(F_p), must reduce to m in block j and to 1
+    in the other diagonal cells.  Returns the tables T_j, in the order of
+    the block graphs' elements, and `verify_section`'s pairs_checked.
     """
     spec = cert.spec
     lay = layout(spec)
-    graph = _quotient_graph(cert)
-    table = extend_along(graph, [img.rows for img in cert.images], lay)
-    if table is None:
+    moves, graphs = _block_graphs(cert)
+    tables = extend_by_blocks(moves, graphs, [img.rows for img in cert.images],
+                              lay)
+    if tables is None:
         raise VerificationFailed("generator images are inconsistent")
-    offsets = lay.offsets
-    digits = graph.digits(np.arange(len(table)))
-    bad = np.zeros(len(table), dtype=bool)
-    for start, stop, elements, d in zip(offsets, offsets[1:],
-                                        graph.elements, digits):
-        block = table[:, start:stop, start:stop] % spec.p
-        bad |= np.any(block != elements[d], axis=(1, 2))
-    if bad.any():
-        raise VerificationFailed(
-            "table image has wrong reduction", counterexample=QElement(
-                p=spec.p, mats=graph.element(int(np.argmax(bad)))))
-    return table
+    for j, (graph, table) in enumerate(zip(graphs, tables)):
+        bad = np.zeros(len(table), dtype=bool)
+        for k, (start, stop) in enumerate(zip(lay.offsets, lay.offsets[1:])):
+            want = (graph.elements if k == j
+                    else np.eye(stop - start, dtype=int))
+            bad |= np.any(table[:, start:stop, start:stop] % spec.p != want,
+                          axis=(1, 2))
+        if bad.any():
+            mats = list(identity_q(spec).mats)
+            mats[j] = graph.element(int(np.argmax(bad)))
+            raise VerificationFailed(
+                "table image has wrong reduction",
+                counterexample=QElement(p=spec.p, mats=tuple(mats)))
+    sizes = [len(ks) for ks in moves]
+    pairs = (sum(graph.size * n for graph, n in zip(graphs, sizes))
+             + sum(a * b for a, b in itertools.combinations(sizes, 2)))
+    return tables, pairs
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of `verify_section`.
 
-    `table` is the proven section on every quotient element, the array
-    `section_table` returns; it is not part of the JSON form.
+    `tables` is the proven section on each block, as `block_tables`
+    returns it ("cayley-edges" only); it is not part of the JSON form.
     """
 
     mode: str
     pairs_checked: int
     ok: bool
-    table: np.ndarray | None = field(default=None, compare=False, repr=False)
+    tables: tuple | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {"mode": self.mode, "pairs": self.pairs_checked, "ok": self.ok}
@@ -333,34 +341,34 @@ def verify_section(cert: SectionCertificate, mode: str = "cayley-edges",
     """Prove that a certificate defines a section of sigma.
 
     Raises VerificationFailed on the first failed check.  The default mode,
-    "cayley-edges", is a complete proof by induction on word length.  Let S
-    be the generators, each checked to be invertible, so that they span a
-    subgroup of Q, and block-embedded: each is the identity in every block
-    but at most one, as every certificate this tool writes is.  Q is the
-    direct product of its blocks (`q_mul` multiplies block by block, so the
-    edges are exact), and `section_table` builds the Cayley graph of S
-    (`quotient_graph`) from the graph of each block's generators in
-    GL_r(F_p), numbering the elements in mixed radix.  It walks the images
-    along the graph (`extend_along`), which defines the map T:
+    "cayley-edges", is a complete proof that never walks Q.  Let S be the
+    generators, each checked to be invertible, to have an image that
+    reduces to it, and to be the identity in every block but at most one,
+    as in every certificate this tool writes.  Q is the direct product of
+    the GL_rj(F_p), so `block_tables` proves that g -> T(g) extends to a
+    homomorphism T : Q -> Aut(G) with the checks of `extend_by_blocks`:
 
-      * T(1) = 1, because the walk starts there;
-      * edges: T(q*g) = T(q)*T(g) for every quotient element q and every g
-        in S, because the walk checks every edge of the graph;
-      * size: the graph holds |Q| elements, so every q is a word in S.
+      * per block j, the generators of j span GL_rj(F_p) and the images
+        extend along every edge of their Cayley graph: T_j(1) = 1 and
+        T_j(m*g) = T_j(m)*T(g), so T_j is a homomorphism by induction on
+        word length;
+      * images of generators of different blocks commute, so the T_j(GL_rj)
+        commute and T(q) = prod_j T_j(q_j) is a homomorphism;
+      * a generator that moves no block maps to 1.
 
-    For q2 = g1...gk, induction on k with the edge at q1*g1...g(k-1) and
-    at g1...g(k-1) gives T(q1*q2) = T(q1)*T(q2) for every pair, and
     T(q)*T(q^-1) = T(1) = 1 makes every T(q) an automorphism.  Finally
-    reduction: sigma(T(q)) == q, checked on each generator first and then
-    on every element, so T is a section (and so injective).  The proof costs
-    |Q|*|S| compositions, and `pairs_checked` counts those edges; they run
-    batched, one product per tree level and one per generator, and the
-    proof is the same as one composition at a time.  A quotient of more
-    than DEFAULT_ELEMENT_BUDGET elements fails before any graph is built.
+    reduction: sigma(T_j(m)) is m in block j and 1 elsewhere, for every
+    block and element, so sigma(T(q)) = q and T is a section.
+    `pairs_checked` counts sum_j |GL_rj(F_p)|*|S_j| edges and one
+    commutation per pair of generators of different blocks.  A block of
+    more than DEFAULT_ELEMENT_BUDGET elements fails before any graph is
+    built.
 
-    "full-table" is the reference the tests compare against: after the same
-    table and reduction checks it composes every pair of quotient elements,
-    |Q|^2 compositions, refusing quotients larger than `full_table_limit`.
+    "full-table" is the reference the tests compare against, and shares
+    none of this: it extends the images along the generators' Cayley graph
+    over all of Q (`cayley_graph`, `extend_along_rows`), checks
+    sigma(T(q)) == q, then composes every pair of quotient elements, |Q|^2
+    compositions, refusing quotients larger than `full_table_limit`.
     """
     if mode not in ("cayley-edges", "full-table"):
         raise ValueError(f"unknown verification mode {mode!r}")
@@ -375,20 +383,28 @@ def verify_section(cert: SectionCertificate, mode: str = "cayley-edges",
             raise VerificationFailed("image does not reduce to its generator",
                                      counterexample=g)
 
-    table = section_table(cert)
     if mode == "cayley-edges":
-        return VerificationReport(
-            mode=mode, pairs_checked=len(table) * len(cert.generators),
-            ok=True, table=table)
+        tables, pairs = block_tables(cert)
+        return VerificationReport(mode=mode, pairs_checked=pairs, ok=True,
+                                  tables=tuple(tables))
 
-    if len(table) > full_table_limit:
+    spec = cert.spec
+    size = pi_order(spec)
+    if size > full_table_limit:
         raise VerificationFailed(
-            f"quotient too large for full-table mode ({len(table)})")
-    graph = _quotient_graph(cert)
-    elements = [QElement(p=cert.spec.p, mats=graph.element(i))
-                for i in range(len(table))]
+            f"quotient too large for full-table mode ({size})")
+    lay = layout(spec)
+    elements, targets = cayley_graph(cert.generators, q_mul, identity_q(spec),
+                                     cap=size)
+    rows = extend_along_rows(targets, len(elements),
+                             [img.rows for img in cert.images], lay)
+    if len(elements) != size or rows is None:
+        raise VerificationFailed("generator images do not extend to Q")
+    if any(sigma(BlockEndo(spec=spec, rows=t)) != q
+           for q, t in zip(elements, rows)):
+        raise VerificationFailed("table image has wrong reduction")
+    table = np.array(rows, dtype=lay.dtype)
     index = {q: i for i, q in enumerate(elements)}
-    lay = layout(cert.spec)
     pairs = 0
     for q1, e1 in zip(elements, table):
         want = table[[index[q_mul(q1, q2)] for q2 in elements]]
@@ -398,8 +414,7 @@ def verify_section(cert: SectionCertificate, mode: str = "cayley-edges",
                 "homomorphism property fails",
                 counterexample=(q1, elements[int(np.argmax(bad))]))
         pairs += len(elements)
-    return VerificationReport(mode=mode, pairs_checked=pairs, ok=True,
-                              table=table)
+    return VerificationReport(mode=mode, pairs_checked=pairs, ok=True)
 
 
 def build_verified_section(spec: PGroupSpec, mode: str = "cayley-edges",

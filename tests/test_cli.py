@@ -142,6 +142,18 @@ class TestSection:
                               "n=3, r=3) ran out of budget: kernel too "
                               "large\n")
 
+    def test_each_block_bounded_not_the_quotient(self, runner):
+        # |Q| = |GL_4(F_2)| * |GL_3(F_2)| = 3386880 is past 2^20, but each
+        # block is walked on its own; |GL_3(F_5)| = 1488000 is not
+        res = runner.invoke(main, ["section", "-p", "2", "-b", "1:4",
+                                   "-b", "2:3"])
+        assert res.exit_code == 0
+        assert json.loads(res.stdout)["verification"]["ok"] is True
+        res = runner.invoke(main, ["section", "-p", "5", "-b", "1:3"])
+        assert res.exit_code == EXIT_BUDGET
+        assert res.stderr == ("budget exceeded: quotient too large to "
+                              "verify generators\n")
+
     def test_cache_round_trip(self, runner, tmp_path):
         cache = tmp_path / "cache"
         args = ["section", "-p", "2", "-b", "2:2",
@@ -231,13 +243,15 @@ class TestSection:
 
 #: The section-cache benchmark's specs, with the md5 of the stdout of all
 #: 11 `section` calls on an empty and then on the filled cache directory, and
-#: of the cache files; recorded from the code before the quotient graph was
-#: computed from the block graphs.
+#: of the cache files.  The cache bytes were recorded before the quotient
+#: graph was computed from the block graphs; the section bytes were
+#: re-recorded when proofs went block by block, which changed only the
+#: `pairs` of the multi-block specs.
 PINNED_SPECS = ["-p 2 -b 2:2", "-p 2 -b 2:3", "-p 2 -b 3:2",
                 "-p 2 -b 1:2 -b 2:2", "-p 2 -b 2:2 -b 4:1",
                 "-p 2 -b 1:1 -b 2:3", "-p 2 -b 2:3 -b 4:1", "-p 3 -b 2:2",
                 "-p 3 -b 3:2", "-p 3 -b 2:2 -b 4:1", "-p 3 -b 1:1 -b 2:2"]
-PINNED_SECTION_MD5 = "95243d2ec2e91d83859a3a93f5f8da8e"
+PINNED_SECTION_MD5 = "c6a5c8385781df5cb071c07b8f5a2782"
 PINNED_CACHE_MD5 = "f65ec6ab555671838d04afdb7915a380"
 
 
@@ -261,10 +275,12 @@ def test_certificate_bytes_are_pinned(runner, tmp_path):
 #: md5 of the acceptance gate's sweep stdout (`batch --with-oracle
 #: --budget-elems 4096 --budget-assignments 65536` on sweep50.jsonl), and of
 #: the exit code and then stdout of `section` on each of the sweep's 32 Splits
-#: rows with |Q| <= 5000, in file order; recorded before the block sections
-#: became maps written straight into the certificate's rows.
+#: rows with |Q| <= 5000, in file order.  The sweep bytes were recorded
+#: before the block sections became maps written straight into the
+#: certificate's rows; the section bytes were re-recorded when proofs went
+#: block by block, which changed only the `pairs` of the multi-block rows.
 PINNED_SWEEP_MD5 = "46ee9d6ac8442260b4628706940343ab"
-PINNED_SWEEP_SECTIONS_MD5 = "a7ea5d7300f0d44925ae598bdbdca6a8"
+PINNED_SWEEP_SECTIONS_MD5 = "07dcec36a3d2ee9f83e928a5e4a4a351"
 
 
 def test_sweep_bytes_are_pinned(runner):
@@ -320,6 +336,20 @@ class TestOracleCommands:
         obj = json.loads(res.output)
         assert obj["verdict"] == "NoOrderPLift"
         assert obj["coset_size"] == 625
+
+    def test_obstruction_bounds_the_kernel_bytes(self, runner, monkeypatch):
+        # (2; 4:3): |Delta| = 2^27 is within --budget-elems, but its 3 x 3
+        # array would take 9.7 GB; the scan must stop before allocating it
+        def never(*args, **kwargs):
+            raise AssertionError("the kernel array was allocated")
+
+        monkeypatch.setattr(oracle.np, "meshgrid", never)
+        monkeypatch.setattr(oracle.np, "zeros", never)
+        res = runner.invoke(main, ["oracle", "obstruction", "-p", "2", "-b",
+                                   "4:3", "--budget-elems", str(2 ** 27)])
+        assert res.exit_code == EXIT_BUDGET
+        assert res.stderr == (f"budget exceeded: kernel array exceeds "
+                              f"{oracle.KERNEL_BYTES} bytes\n")
 
     def test_complement_search(self, runner):
         res = runner.invoke(main, ["oracle", "complement-search",
@@ -418,6 +448,25 @@ class TestBatch:
         assert res.stderr.startswith("error: UnicodeDecodeError: ")
         assert res.stdout == ""
 
+    def test_scan_past_the_kernel_bytes_is_classifier_only(self, runner,
+                                                          tmp_path,
+                                                          monkeypatch):
+        # (2; 3:4) does not split; |Delta| = 2^32 is within --budget-elems,
+        # but its 4 x 4 array would take 550 GB
+        def never(*args, **kwargs):
+            raise AssertionError("the kernel array was allocated")
+
+        monkeypatch.setattr(oracle.np, "meshgrid", never)
+        monkeypatch.setattr(oracle.np, "zeros", never)
+        f = tmp_path / "in.jsonl"
+        _write_jsonl(f, [{"p": 2, "blocks": [{"n": 3, "r": 4}]}])
+        res = runner.invoke(main, ["batch", str(f), "--with-oracle",
+                                   "--budget-elems", str(2 ** 32)])
+        assert res.exit_code == 0
+        row = json.loads(res.stdout)
+        assert (row["outcome"], row["oracle"], row["note"]) == (
+            "DoesNotSplit", None, "classifier-only")
+
     def test_input_is_a_directory(self, runner, tmp_path):
         res = runner.invoke(main, ["batch", str(tmp_path)])
         assert res.exit_code == EXIT_INVALID
@@ -439,7 +488,7 @@ class TestBatch:
         assert parallel.stdout == serial.stdout
 
     def test_each_block_graph_walked_once(self, runner, monkeypatch):
-        # the sweep's quotient graphs all come from per-block graphs, and
+        # every graph of the sweep is a per-block graph, and
         # each generating set of a GL_r(F_p) is walked by BFS at most once
         walked = Counter()
         bfs = endo.gl_bfs
@@ -580,7 +629,7 @@ class TestCache:
     def test_verify_bounds_the_quotient_before_any_graph(self, runner,
                                                          tmp_path,
                                                          monkeypatch):
-        # |GL_3(F_101)| is about 10^12: the proof must fail on the size
+        # |GL_3(F_101)| is about 10^18: the proof must fail on the size
         # alone, not walk the generators' graph up to that cap
         def never(*args):
             pytest.fail("a graph was built for an oversized quotient")
@@ -596,6 +645,6 @@ class TestCache:
                                    "verify"])
         assert res.exit_code == EXIT_VERIFY_FAILED
         assert res.stdout == (
-            f"block-p101-n2-r3.json: FAILED (quotient has "
+            f"block-p101-n2-r3.json: FAILED (a block of the quotient has "
             f"{gl_order(101, 3)} elements, more than the 1048576 a proof "
             f"may walk)\n")

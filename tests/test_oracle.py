@@ -13,6 +13,7 @@ from autsplit.endo import (
     BlockEndo,
     QElement,
     add_endos,
+    block_graphs,
     bmul,
     cayley_graph,
     check_hom_constraints,
@@ -20,6 +21,7 @@ from autsplit.endo import (
     element_order,
     extend_along,
     extend_along_rows,
+    extend_by_blocks,
     gl_bfs,
     gl_span,
     identity_endo,
@@ -30,7 +32,6 @@ from autsplit.endo import (
     mul_rows,
     pow_endo,
     q_order,
-    quotient_graph,
     sigma,
 )
 from autsplit.errors import (
@@ -298,7 +299,7 @@ class TestArrayBFS:
     def check(self, p, r, mats, cap=10 ** 6):
         graph = gl_bfs(p, r, mats, cap=cap)
         elements, targets = self.reference(p, r, mats, cap)
-        assert [tuple(map(tuple, m)) for m in graph.elements[0].tolist()] \
+        assert [tuple(map(tuple, m)) for m in graph.elements.tolist()] \
             == elements
         assert graph.targets.shape == (len(elements), len(mats))
         assert graph.targets.reshape(-1).tolist() == targets
@@ -349,7 +350,8 @@ class TestArrayBFS:
 
 
 class TestQuotientGraph:
-    """The product graph by arithmetic against a BFS over `q_mul`."""
+    """Q's generators sorted by the block they move (`block_graphs`), each
+    block's graph taken, against a BFS over `q_mul`."""
 
     @pytest.mark.parametrize("p,blocks", [
         (2, [(1, 1), (2, 2)]),  # a trivial GL_1(F_2) block
@@ -361,47 +363,42 @@ class TestQuotientGraph:
     def test_matches_reference_bfs(self, p, blocks):
         spec = validate_spec(p, blocks)
         one = identity_q(spec)
-        # an identity generator in the middle must give self-loops
+        # an identity generator in the middle moves no block
         gens = list(find_generators_of_Q(spec))
         gens.insert(1, one)
-        size, graph = quotient_graph(spec, [g.mats for g in gens])
+        moves, graphs = block_graphs(spec, [g.mats for g in gens])
+        assert len(moves) == len(graphs) == spec.num_blocks
+        for k, g in enumerate(gens):
+            moved = [j for j, (m, e) in enumerate(zip(g.mats, one.mats))
+                     if m != e]
+            assert moved == [j for j, ks in enumerate(moves) if k in ks]
+        assert not any(1 in ks for ks in moves)
+        for j, (r, ks, graph) in enumerate(zip(spec.ranks, moves, graphs)):
+            assert ks == sorted(ks)
+            mats = tuple(gens[k].mats[j] for k in ks)
+            assert gl_span(p, r, mats) == (gl_order(p, r), graph)
+        # Q is the product of the blocks: a BFS over `q_mul` finds the
+        # tuples of block elements, each once
         ref, _ = cayley_graph(gens, q_mul, one, cap=pi_order(spec))
-        elements = [graph.element(i) for i in range(size)]
-        assert size == graph.size == len(ref) == pi_order(spec)
-        assert {q.mats for q in ref} == set(elements)
-        assert elements[0] == one.mats
-        # index order is the product of the block elements, block 0 first
-        assert elements == list(itertools.product(*[
-            [tuple(map(tuple, m)) for m in block.tolist()]
-            for block in graph.elements]))
-        n = len(gens)
-        assert graph.targets.shape == (size, n)
-        for i, x in enumerate(elements):
-            q = QElement(p=p, mats=x)
-            for k, g in enumerate(gens):
-                assert elements[graph.targets[i, k]] == q_mul(q, g).mats
-            assert graph.targets[i, 1] == i
-        # the tree: every element one edge below a parent a level up
-        depth = {0: 0}
-        for level, nodes in enumerate(graph.levels, 1):
-            for i in nodes.tolist():
-                parent = int(graph.parent[i])
-                assert depth[parent] == level - 1
-                assert graph.targets[parent, graph.via[i]] == i
-                depth[i] = level
-        assert sorted(depth) == list(range(size))
+        product = set(itertools.product(*[
+            [graph.element(i) for i in range(graph.size)]
+            for graph in graphs]))
+        assert len(ref) == len(product) == pi_order(spec)
+        assert {q.mats for q in ref} == product
 
     def test_proper_subgroup_has_no_graph(self):
         # one transvection spans 2 of the 6 elements of GL_2(F_2)
         spec = validate_spec(2, [(1, 1), (2, 2)])
         t = QElement(p=2, mats=(((1,),), ((1, 1), (0, 1))))
-        assert quotient_graph(spec, [t.mats]) == (2, None)
+        moves, graphs = block_graphs(spec, [t.mats])
+        assert moves == [[], [0]]
+        assert graphs[0].size == 1 and graphs[1] is None
 
     def test_generator_moving_two_blocks(self):
         spec = validate_spec(3, [(1, 1), (2, 1)])
         g = QElement(p=3, mats=(((2,),), ((2,),)))
         with pytest.raises(ShapeMismatch, match="moves blocks 0 and 1"):
-            quotient_graph(spec, [g.mats])
+            block_graphs(spec, [g.mats])
 
 
 def _closure_accepts(hs, spec):
@@ -430,51 +427,68 @@ def _closure_accepts(hs, spec):
 
 
 class TestWalkEquivalence:
-    """The lift search's walk accepts exactly what the subgroup closure does.
+    """The lift search's check accepts exactly what the subgroup closure does.
 
-    An assignment gives generator g the image lift(g) * d, d in Delta.
+    An assignment gives generator g the image lift(g) * d, d in Delta.  The
+    check is factored (`extend_by_blocks`); the plain walk over all of Q
+    (`extend_along_rows`) must agree with it, table and all.
     """
 
     @staticmethod
     def walk_and_cosets(spec):
         gens = find_generators_of_Q(spec)
+        one = identity_q(spec).mats
         elements, targets = cayley_graph(gens, q_mul, identity_q(spec),
                                          cap=pi_order(spec))
-        _, graph = quotient_graph(spec, [g.mats for g in gens])
+        moves, graphs = block_graphs(spec, [g.mats for g in gens])
         lay = layout(spec)
-        # the plain walk's index of each element of the array graph
         where = {q.mats: i for i, q in enumerate(elements)}
-        order = [where[graph.element(i)] for i in range(graph.size)]
+        # per block, the plain walk's index of each block graph element
+        orders = [[where[one[:j] + (graph.element(i),) + one[j + 1:]]
+                   for i in range(graph.size)]
+                  for j, graph in enumerate(graphs)]
 
         def walk_accepts(hs):
-            # the batched walk and the plain one agree, table and all
             plain = extend_along_rows(targets, len(elements), hs, lay)
-            batched = extend_along(graph, hs, lay)
-            assert (plain is None) == (batched is None)
+            tables = extend_by_blocks(moves, graphs, hs, lay)
+            assert (plain is None) == (tables is None)
             if plain is not None:
-                assert batched.tolist() == [[list(row) for row in plain[i]]
-                                            for i in order]
+                for table, order in zip(tables, orders):
+                    assert table.tolist() == [[list(row) for row in plain[i]]
+                                              for i in order]
             return plain is not None
+
+        def blocks_extend(hs):
+            stack = np.array(hs, dtype=lay.dtype)
+            return all(extend_along(graph, stack[ks], lay) is not None
+                       for ks, graph in zip(moves, graphs))
 
         cosets = [[compose(_diagonal_int_lift(spec, g), d).rows
                    for d in enumerate_delta(spec)] for g in gens]
-        return walk_accepts, cosets
+        return walk_accepts, blocks_extend, cosets
 
     @pytest.mark.parametrize("p,blocks,accepted", [
         (2, [(2, 2)], 8), (3, [(2, 2)], 27),
+        (3, [(1, 1), (2, 1)], 9), (5, [(1, 1), (2, 1)], 25),
     ])
     def test_every_assignment(self, p, blocks, accepted):
         spec = validate_spec(p, blocks)
-        walk_accepts, cosets = self.walk_and_cosets(spec)
-        verdicts = [(walk_accepts(hs), _closure_accepts(hs, spec))
+        walk_accepts, blocks_extend, cosets = self.walk_and_cosets(spec)
+        verdicts = [(walk_accepts(hs), _closure_accepts(hs, spec),
+                     blocks_extend(hs))
                     for hs in itertools.product(*cosets)]
         assert len(verdicts) == delta_order(spec) ** len(cosets)
-        assert all(walk == closure for walk, closure in verdicts)
-        assert sum(walk for walk, _ in verdicts) == accepted
+        assert all(walk == closure for walk, closure, _ in verdicts)
+        assert sum(walk for walk, _, _ in verdicts) == accepted
+        # with two blocks, some assignments extend on each block and fail
+        # only because their images do not commute
+        commute_only = sum(extends and not walk
+                           for walk, _, extends in verdicts)
+        assert (commute_only > 0) == (spec.num_blocks > 1)
 
     def test_sample_with_the_found_assignment(self):
         spec = validate_spec(2, [(1, 1), (2, 2)])
-        walk_accepts, cosets = self.walk_and_cosets(spec)
+        walk_accepts, _, cosets = self.walk_and_cosets(spec)
         found = complement_lift_search(spec)
         assert found.outcome == "Found"
         sample = [tuple(e.rows for e in found.images)]
@@ -515,6 +529,20 @@ class TestComplementSearch:
         big_kernel = validate_spec(2, [(4, 3)])
         assert complement_lift_search(
             big_kernel, delta_budget=1000).outcome == "BudgetExceeded"
+
+    def test_kernel_bytes_bounded_before_allocation(self, monkeypatch):
+        # (2; 1:1 + 2:4), sweep row 19: |Delta| = 2^24 is within a budget of
+        # 2^25, but its 5 x 5 array would take 3.4 GB
+        def never(*args, **kwargs):
+            raise AssertionError("the kernel array was allocated")
+
+        spec = validate_spec(2, [(1, 1), (2, 4)])
+        assert delta_order(spec) == 2 ** 24
+        monkeypatch.setattr(np, "meshgrid", never)
+        monkeypatch.setattr(np, "zeros", never)
+        result = complement_lift_search(spec, delta_budget=2 ** 25)
+        assert (result.outcome, result.evidence) == ("BudgetExceeded",
+                                                     "kernel too large")
 
     def test_trivial_quotient(self):
         result = complement_lift_search(SPEC_Z2_Z4)

@@ -12,30 +12,36 @@ from autsplit.endo import (
     BlockEndo,
     QElement,
     block_endo,
+    block_graphs,
     cayley_graph,
     compose,
     extend_along_rows,
     identity_q,
     layout,
     q_mul,
-    quotient_graph,
     sigma,
 )
 from autsplit.errors import NotSplitBlock, VerificationFailed
-from autsplit.groups import pi_order, validate_spec
+from autsplit.groups import gl_order, pi_order, validate_spec
 from autsplit.oracle import random_delta_element
 from autsplit.splitting import (
     SectionCertificate,
     block_section,
+    block_tables,
     build_verified_section,
     classify,
     classify_block,
     first_block_phrasing,
     rank_bound,
-    section_table,
     teichmuller_section,
     verify_section,
 )
+
+
+def block_graph(cert, j):
+    """The Cayley graph of the certificate's generators of block j."""
+    _, graphs = block_graphs(cert.spec, [g.mats for g in cert.generators])
+    return graphs[j]
 
 
 class TestClassifyBlock:
@@ -161,13 +167,21 @@ class TestCertificates:
         (5, [(1, 1), (2, 1)]), (2, [(1, 2), (2, 2)]), (3, [(2, 2), (40, 1)]),
     ])
     def test_edge_proof_agrees_with_full_table(self, p, blocks):
-        # the edge proof must reject exactly the certificates that the
-        # |Q|^2 reference rejects; multiplying one image by a Delta element
-        # keeps every reduction and sometimes still gives a section
+        # the block-by-block proof must reject exactly the certificates
+        # that the |Q|^2 reference rejects; multiplying one image by a Delta
+        # element (nonzero off the diagonal too) keeps every reduction and
+        # sometimes still gives a section
         spec = validate_spec(p, blocks)
         cert, report = build_verified_section(spec)
         assert report.mode == "cayley-edges"
-        assert report.pairs_checked == pi_order(spec) * len(cert.generators)
+        # each block's edges, plus one commutation per pair of generators
+        # of different blocks
+        per_block = [sum(g.mats[j] != identity_q(spec).mats[j]
+                         for g in cert.generators)
+                     for j in range(spec.num_blocks)]
+        assert report.pairs_checked == sum(
+            gl_order(p, r) * n for r, n in zip(spec.ranks, per_block)) + sum(
+            a * b for a, b in itertools.combinations(per_block, 2))
 
         def passes(c, **kw):
             try:
@@ -220,12 +234,13 @@ class TestCertificates:
         with pytest.raises(VerificationFailed):
             verify_section(swapped)
         # past the generator check, the images still extend to a map on Q
-        # (both blocks are cyclic), which the table's reduction check fails
+        # (both blocks are cyclic), which the reduction check of the first
+        # block's table fails
         with pytest.raises(VerificationFailed,
                            match="table image has wrong reduction") as got:
-            section_table(swapped)
+            block_tables(swapped)
         assert got.value.counterexample == QElement(
-            p=5, mats=(((1,),), cert.generators[1].mats[1]))
+            p=5, mats=(cert.generators[0].mats[0], ((1,),)))
 
     def test_singular_generator_caught(self):
         # (Z/9): the zero map "lifts" the singular 0 mod 3, and {1, 0} has
@@ -239,7 +254,8 @@ class TestCertificates:
     def test_generator_moving_two_blocks_rejected(self):
         # (Z/3 + Z/9): Q = GL_1(F_3)^2.  The generators g1*g2, g2 with the
         # images T(g1)*T(g2), T(g2) span Q and extend to the section, but
-        # g1*g2 moves both blocks, so the product graph does not apply
+        # g1*g2 moves both blocks, so the block-by-block proof does not
+        # apply
         spec = validate_spec(3, [(1, 1), (2, 1)])
         cert, _ = build_verified_section(spec)
         (g1, g2), (t1, t2) = cert.generators, cert.images
@@ -268,30 +284,38 @@ class TestCertificates:
             SectionCertificate.from_json(obj)
 
     def test_section_table_respects_sigma(self):
-        spec = validate_spec(2, [(2, 2)])
-        cert, _ = build_verified_section(spec)
-        table = section_table(cert)
-        assert len(table) == pi_order(spec)
-        _, graph = quotient_graph(spec, [g.mats for g in cert.generators])
-        for i, rows in enumerate(table.tolist()):
-            e = BlockEndo(spec=spec, rows=tuple(map(tuple, rows)))
-            assert sigma(e) == QElement(p=spec.p, mats=graph.element(i))
+        spec = validate_spec(2, [(1, 2), (2, 2)])
+        cert, report = build_verified_section(spec)
+        tables, pairs = block_tables(cert)
+        assert pairs == report.pairs_checked
+        one = identity_q(spec).mats
+        for j, (r, table) in enumerate(zip(spec.ranks, tables)):
+            assert len(table) == gl_order(spec.p, r)
+            graph = block_graph(cert, j)
+            for i, rows in enumerate(table.tolist()):
+                e = BlockEndo(spec=spec, rows=tuple(map(tuple, rows)))
+                want = one[:j] + (graph.element(i),) + one[j + 1:]
+                assert sigma(e) == QElement(p=spec.p, mats=want)
 
     def test_large_moduli_take_the_object_path(self):
-        # 3^40 overflows int64, so the walk runs on Python ints; the table
-        # must be the plain walk's, element for element
+        # 3^40 overflows int64, so the walk runs on Python ints; each block's
+        # table must be the plain walk's over Q, element for element
         spec = validate_spec(3, [(2, 2), (40, 1)])
         assert layout(spec).dtype is object
         cert, report = build_verified_section(spec)
-        assert report.ok and report.table.dtype == object
+        assert report.ok
+        assert [t.dtype for t in report.tables] == [object, object]
         elements, targets = cayley_graph(cert.generators, q_mul,
                                          identity_q(spec), cap=pi_order(spec))
         plain = extend_along_rows(targets, len(elements),
                                   [e.rows for e in cert.images], layout(spec))
-        _, graph = quotient_graph(spec, [g.mats for g in cert.generators])
         where = {q.mats: i for i, q in enumerate(elements)}
-        assert [tuple(map(tuple, t)) for t in report.table.tolist()] == [
-            plain[where[graph.element(i)]] for i in range(len(plain))]
+        one = identity_q(spec).mats
+        for j, table in enumerate(report.tables):
+            graph = block_graph(cert, j)
+            assert [tuple(map(tuple, t)) for t in table.tolist()] == [
+                plain[where[one[:j] + (graph.element(i),) + one[j + 1:]]]
+                for i in range(graph.size)]
         assert max(x for t in plain for row in t for x in row) > 2 ** 63
 
     def test_build_refuses_non_split(self):
