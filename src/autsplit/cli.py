@@ -2,10 +2,10 @@
 
 JSON (or CSV) results on stdout, logs on stderr.  Exit codes: 0 for any
 computed verdict (including Unknown), 2 for invalid input, 3 for budget
-exhaustion, 4 for a failed verification (a bug signal), 5 when a section is
-requested for a group whose classifier verdict is not Splits.  Every flag
-can also be set through an AUTSPLIT_-prefixed environment variable; flags
-win.
+exhaustion, 4 for a failed verification or a `batch` cross-check that
+raised (a bug signal), 5 when a section is requested for a group whose
+classifier verdict is not Splits.  Every flag can also be set through an
+AUTSPLIT_-prefixed environment variable; flags win.
 
 Every section certificate that `section` prints, and every `batch` row that
 reports `SectionVerified`, has passed the complete Cayley-edge proof of
@@ -235,6 +235,11 @@ def cmd_complement_search(prime, blocks, spec_file, seed, budget_assignments,
 
 # --- batch sweeps ---
 
+#: The oracle stage that cross-checks each classifier outcome in `batch`.
+_CROSS_CHECK_STAGE = {"Splits": "section", "DoesNotSplit": "obstruction",
+                     "Unknown": "complement-search"}
+
+
 def _oracle_cross_check(spec: PGroupSpec, outcome: str, seed: int,
                         budget_assignments: int, budget_elems: int):
     """(oracle_verdict, agreement) for one spec; agreement None = classifier-only."""
@@ -285,8 +290,13 @@ def _batch_row(line: str, lineno: int, with_oracle: bool, seed: int,
         "agreement": None,
     }
     if with_oracle:
-        oracle_verdict, agreement = _oracle_cross_check(
-            spec, verdict.outcome, seed, budget_assignments, budget_elems)
+        try:
+            oracle_verdict, agreement = _oracle_cross_check(
+                spec, verdict.outcome, seed, budget_assignments, budget_elems)
+        except Exception as exc:  # a bug signal; the other rows go on
+            stage = _CROSS_CHECK_STAGE[verdict.outcome]
+            row["error"] = f"{stage}: {type(exc).__name__}: {exc}"
+            return row
         row["oracle"] = oracle_verdict
         row["agreement"] = agreement
         if oracle_verdict is None or agreement is None:
@@ -310,7 +320,12 @@ def _batch_row(line: str, lineno: int, with_oracle: bool, seed: int,
                    "order.")
 def cmd_batch(input_file, with_oracle, seed, budget_assignments, budget_elems,
               fmt, continue_on_error, workers) -> None:
-    """One verdict row per spec line of a JSONL file."""
+    """One verdict row per spec line of a JSONL file.
+
+    A line that is not a valid spec is an error row and exits 2 (at once,
+    unless --continue).  A cross-check that raises is an error row naming
+    its stage; the other rows are printed, and the run exits 4.
+    """
     try:
         with open(input_file, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -331,11 +346,15 @@ def cmd_batch(input_file, with_oracle, seed, budget_assignments, budget_elems,
         rows = list(map(row_of, lines, linenos))
 
     had_error = False
+    stage_failed = False
     disagreement = False
     for row in rows:
         if "error" in row:
-            had_error = True
             click.echo(f"line {row['line']}: {row['error']}", err=True)
+            if "outcome" in row:  # the line was a spec; its cross-check raised
+                stage_failed = True
+                continue
+            had_error = True
             if not continue_on_error:
                 sys.exit(EXIT_INVALID)
         elif row.get("agreement") is False:
@@ -359,6 +378,8 @@ def cmd_batch(input_file, with_oracle, seed, budget_assignments, budget_elems,
 
     if had_error:
         sys.exit(EXIT_INVALID)
+    if stage_failed:
+        sys.exit(EXIT_VERIFY_FAILED)
     if disagreement:
         sys.exit(1)
 

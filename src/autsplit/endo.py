@@ -20,9 +20,9 @@ Constraints are checked once, where raw data enters (`block_endo`,
 
 Maps on Q = prod GL_ri(F_p) are checked block by block (`block_graphs`,
 `extend_by_blocks`), on integer numpy stacks: `gl_bfs` multiplies a whole
-BFS level at once, and `extend_along` fills a table level by level.
-`cayley_graph` and `extend_along_rows` are the plain versions, which the
-reference proof and the tests use.
+BFS level at once, and `extend_along` fills in and checks a table level
+by level.  `cayley_graph` and `extend_along_rows` are the plain versions,
+which the reference proof and the tests use.
 
 Convention: column vectors, maps act on the left.  apply(e, v) computes the
 usual matrix-times-vector product, and compose(a, b) applies b first.
@@ -198,22 +198,23 @@ class CayleyGraph:
     """The Cayley graph of a group of r x r matrices, held as integer arrays.
 
     `elements` is the stack of its matrices.  targets[i, k] is the index of
-    element i times generator k.  A spanning tree hangs from element 0: each
-    element i > 0 is element parent[i] times generator via[i], and `levels`
-    lists the elements at depth 1, 2, ... of that tree, so that a walk can
-    fill in a whole level with one batched product.  The arrays are
-    read-only.
+    element i times generator k.  A breadth-first spanning tree hangs from
+    element 0, and its depths are consecutive index ranges: depth 0 is
+    element 0, and each next depth follows the one before.  tree[L], one
+    entry per depth L down to the deepest, picks out of the edges that
+    leave depth L (its rows of `targets`, read row by row) the tree edge
+    into each element at depth L + 1, in index order; the deepest depth's
+    entry is empty.  So a walk can multiply a whole depth by every
+    generator at once and take the next depth from those products.  The
+    arrays are read-only.
     """
 
     elements: np.ndarray
     targets: np.ndarray
-    parent: np.ndarray
-    via: np.ndarray
-    levels: tuple[np.ndarray, ...]
+    tree: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        for a in (self.elements, self.targets, self.parent, self.via,
-                  *self.levels):
+        for a in (self.elements, self.targets, *self.tree):
             a.flags.writeable = False
 
     @property
@@ -246,8 +247,8 @@ def gl_bfs(p: int, r: int, mats: tuple[Matrix, ...],
     known = frontier.reshape(1, -1) @ weights  # sorted codes seen so far
     known_index = np.zeros(1, dtype=np.int64)  # their element indices
     stacks = [frontier]
-    targets, parents, vias, levels = [], [], [], []
-    start, size = 0, 1
+    targets, tree = [], []
+    size = 1
     while len(frontier):
         prods = (np.matmul(frontier[:, None], gens) % p).reshape(-1, r, r)
         codes = prods.reshape(-1, r * r) @ weights
@@ -265,22 +266,16 @@ def gl_bfs(p: int, r: int, mats: tuple[Matrix, ...],
         found[miss] = index[inverse]
         targets.append(found)
         seen = miss[first[order]]  # where each new element was first met
-        row, via = np.divmod(seen, k)
-        parents.append(start + row)
-        vias.append(via)
-        levels.append(np.arange(size, size + len(new)))
+        tree.append(seen)
         at = np.searchsorted(known, new)
         known = np.insert(known, at, new)
         known_index = np.insert(known_index, at, index)
         frontier = prods[seen]
         stacks.append(frontier)
-        start, size = size, size + len(new)
-    root = np.zeros(1, dtype=np.int64)
+        size += len(new)
     return CayleyGraph(elements=np.concatenate(stacks),
                        targets=np.concatenate(targets).reshape(size, k),
-                       parent=np.concatenate([root] + parents),
-                       via=np.concatenate([root] + vias),
-                       levels=tuple(levels[:-1]))  # the last one is empty
+                       tree=tuple(tree))
 
 
 @lru_cache(maxsize=None)
@@ -326,27 +321,30 @@ def extend_along(graph: CayleyGraph, hs: np.ndarray,
     """Extend generator images along the edges of a Cayley graph, batched.
 
     `hs` is the (k, D, D) stack of the images in `lay.dtype`, one per
-    generator of `graph`.  Sets T[0] = 1 and fills in the graph's tree one
-    level at a time, T[i] = T[parent[i]] * hs[via[i]] for a whole level in
-    one batched product; then checks T[i] * hs[k] == T[targets[i, k]] on
-    every edge, in one product per generator.  The values that agree with
-    every edge are unique, so this accepts, rejects and returns exactly what
-    the edge-by-edge walk `extend_along_rows` does, at the same size*k
-    compositions.  The arithmetic is `lay.dtype`: int64 where it is exact,
-    Python ints past that.
+    generator of `graph`.  Sets T[0] = 1 and walks the graph's tree one
+    depth at a time: T[i] times every hs[k] for the whole depth, in one
+    batched product, gives the next depth's T (its tree edges, `graph.tree`)
+    and is then compared with T[targets[i, k]] on every edge out of the
+    depth.  In a breadth-first tree those targets lie at most one depth
+    deeper, so they are known by then.  The values that agree with every
+    edge are unique, so this accepts, rejects and returns exactly what the
+    edge-by-edge walk `extend_along_rows` does, with size*k compositions
+    when it accepts; a rejected walk stops at the first depth with an edge
+    that disagrees.  The arithmetic is `lay.dtype`: int64 where it is
+    exact, Python ints past that.
     Returns T as a (size, D, D) array, rows reduced as `mul_rows` reduces
     them, or None when some edge reaches a value that disagrees.
     """
     D = len(lay.moduli)
     table = np.empty((graph.size, D, D), dtype=lay.dtype)
     table[0] = lay.ident
-    for nodes in graph.levels:
-        table[nodes] = bmul(lay, table[graph.parent[nodes]],
-                            hs[graph.via[nodes]])
-    for k, h in enumerate(hs):
-        if not np.array_equal(bmul(lay, table, h),
-                              table[graph.targets[:, k]]):
+    start, stop = 0, 1  # the elements at the current depth
+    for edges in graph.tree:
+        prods = bmul(lay, table[start:stop, None], hs)
+        table[stop:stop + len(edges)] = prods.reshape(-1, D, D)[edges]
+        if not (prods == table[graph.targets[start:stop]]).all():
             return None
+        start, stop = stop, stop + len(edges)
     return table
 
 

@@ -10,11 +10,14 @@ apply each operation to all N elements at once, with the stack kernel of
 one by one, in the same odometer order.  The lift search tests each
 assignment with the check that also proves a section certificate
 (`endo.extend_by_blocks`), batched the same way: one product per level of
-each block graph's spanning tree and one per generator.  The generators of
-each GL_r(F_p) block are searched once per process and rank prefix, and
-each block's Cayley graph is walked once per process (`endo.gl_span`, a
-level-synchronous BFS on integer arrays).  Budgets are explicit and
-enumeration order is fixed, so every run is reproducible.
+each block graph's spanning tree, of that level by every generator, which
+fills in the next level and checks the level's edges, so an assignment
+that breaks a relation is dropped at the level where it breaks.  Kernel
+elements are inverted by their finite Neumann series (`_delta_inverses`).
+The generators of each GL_r(F_p) block are searched once per process and
+rank prefix, and each block's Cayley graph is walked once per process
+(`endo.gl_span`, a level-synchronous BFS on integer arrays).  Budgets are
+explicit and enumeration order is fixed, so every run is reproducible.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from .groups import (
     DEFAULT_ELEMENT_BUDGET,
     PGroupSpec,
     delta_order,
+    delta_order_exponent,
     group_order,
     gl_order,
     primitive_root,
@@ -474,6 +478,33 @@ def _diagonal_int_lift(spec: PGroupSpec, q: QElement) -> BlockEndo:
     return BlockEndo(spec=spec, rows=tuple(map(tuple, grid)))
 
 
+def _delta_inverses(spec: PGroupSpec, deltas: np.ndarray) -> np.ndarray:
+    """The inverses of a stack of kernel elements d = 1 + x, checked.
+
+    x lies in the ideal J of endomorphisms whose diagonal cells vanish mod
+    p, which is nilpotent: |J| = p^a with a = `delta_order_exponent`, and
+    each power of J is at most 1/p of the one before, so J^(a + 1) = 0.
+    The inverse is then the finite Neumann series sum_k (-x)^k, summed
+    until the stack of powers is all zero; for (Z/p^2)^r, x^2 = 0 already,
+    so d^-1 = 2 - d.  Raises NotAUnit when a + 1 powers do not reach zero
+    (a stack outside Delta) or when some d * d^-1 is not 1.
+    """
+    lay = layout(spec)
+    neg_x = (lay.ident - deltas) % lay.mods
+    power = inverse = np.broadcast_to(lay.ident, deltas.shape)
+    for _ in range(delta_order_exponent(spec) + 1):
+        power = bmul(lay, power, neg_x)
+        if not power.any():
+            break
+        inverse = (inverse + power) % lay.mods
+    else:
+        raise NotAUnit("a stack is not in the kernel: its Neumann series "
+                       "does not end")
+    if not is_identity(lay, bmul(lay, deltas, inverse)).all():
+        raise NotAUnit("a kernel element failed its inverse check")
+    return inverse
+
+
 def _lift_candidates(spec: PGroupSpec, gens: tuple[QElement, ...],
                      delta_budget: int) -> list[list[Rows]] | None:
     """Per generator g, the lifts of g that a section may choose, as rows.
@@ -482,11 +513,11 @@ def _lift_candidates(spec: PGroupSpec, gens: tuple[QElement, ...],
     generator one h per kernel-conjugacy class; None when some generator
     has no such lift.  Both filters run batched, over Delta as one
     (N, D, D) array: the orbit of h is d^-1 * h * d for all d at once, with
-    d^-1 = d^(|Delta| - 1) (Lagrange) checked by d * d^-1 = 1.  Rows stay in
-    the odometer order of `enumerate_delta`, so the candidates are those of
-    the element-by-element search.  The arithmetic is exact in int64 while
-    D * (p^n_R - 1)^2 < 2^63, and runs on Python ints (dtype=object) past
-    that bound.
+    d^-1 the Neumann series of `_delta_inverses`, checked by d * d^-1 = 1.
+    Rows stay in the odometer order of `enumerate_delta`, so the candidates
+    are those of the element-by-element search.  The arithmetic is exact in
+    int64 while D * (p^n_R - 1)^2 < 2^63, and runs on Python ints
+    (dtype=object) past that bound.
     """
     lay = layout(spec)
     deltas = _delta_array(spec, budget=delta_budget)
@@ -498,9 +529,7 @@ def _lift_candidates(spec: PGroupSpec, gens: tuple[QElement, ...],
             return None
         stacks.append(hs)
 
-    delta_invs = bpow(lay, deltas, len(deltas) - 1)
-    if not is_identity(lay, bmul(lay, deltas, delta_invs)).all():
-        raise NotAUnit("a kernel element failed its inverse check")
+    delta_invs = _delta_inverses(spec, deltas)
     reps0 = []
     seen = set()
     for h in stacks[0]:
@@ -534,10 +563,11 @@ def complement_lift_search(spec: PGroupSpec,
     g -> h_g extends to a homomorphism Q -> Aut(G), which
     `extend_by_blocks` decides block by block: the images of different
     blocks commute, and each block's images extend along every edge of its
-    Cayley graph, one product per level of the graph's spanning tree and
-    then one per generator.  The block graphs are those that
-    `find_generators_of_Q` already built to check generation, so no search
-    walks a group by BFS twice, and no search walks Q.
+    Cayley graph, one product per level of the graph's spanning tree.  An
+    accepted assignment is checked on every edge; a rejected one stops at
+    the first level with an edge that disagrees.  The block graphs are
+    those that `find_generators_of_Q` already built to check generation,
+    so no search walks a group by BFS twice, and no search walks Q.
 
     A budget ends the search with a BudgetExceeded result whose evidence
     names it (`SearchResult`); the search raises none.

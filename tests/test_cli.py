@@ -467,6 +467,47 @@ class TestBatch:
         assert (row["outcome"], row["oracle"], row["note"]) == (
             "DoesNotSplit", None, "classifier-only")
 
+    @pytest.mark.parametrize("line,module,name,stage", [
+        (1, splitting, "complement_lift_search", "section"),
+        (2, oracle, "order_p_coset_obstruction", "obstruction"),
+        (3, oracle, "complement_lift_search", "complement-search"),
+    ], ids=["section", "obstruction", "complement-search"])
+    def test_cross_check_that_raises_is_an_error_row(
+            self, runner, tmp_path, monkeypatch, line, module, name, stage):
+        # one line per cross-check stage: Splits, DoesNotSplit, Unknown
+        specs = [{"p": 2, "blocks": [{"n": 2, "r": 2}]},
+                 {"p": 5, "blocks": [{"n": 2, "r": 2}]},
+                 {"p": 2, "blocks": [{"n": 1, "r": 1}, {"n": 2, "r": 4}]}]
+        f = tmp_path / "in.jsonl"
+        _write_jsonl(f, specs)
+        args = ["batch", str(f), "--with-oracle"]
+        splitting._searched_block.cache_clear()
+        clean = runner.invoke(main, args)
+        assert clean.exit_code == 0
+        want = [json.loads(ln) for ln in clean.stdout.splitlines()]
+        assert [r["outcome"] for r in want] == ["Splits", "DoesNotSplit",
+                                                "Unknown"]
+
+        real = getattr(module, name)
+        bad = spec_from_json(specs[line - 1])
+
+        def failing(spec, *rest, **kwargs):
+            if spec == bad:
+                raise RuntimeError("element order is not a small p-power")
+            return real(spec, *rest, **kwargs)
+
+        monkeypatch.setattr(module, name, failing)
+        splitting._searched_block.cache_clear()
+        res = runner.invoke(main, args)
+        assert res.exit_code == EXIT_VERIFY_FAILED
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        error = f"{stage}: RuntimeError: element order is not a small p-power"
+        assert res.stderr == f"line {line}: {error}\n"
+        rows = [json.loads(ln) for ln in res.stdout.splitlines()]
+        want[line - 1].update(oracle=None, agreement=None, error=error)
+        want[line - 1].pop("note", None)
+        assert rows == want
+
     def test_input_is_a_directory(self, runner, tmp_path):
         res = runner.invoke(main, ["batch", str(tmp_path)])
         assert res.exit_code == EXIT_INVALID

@@ -1,5 +1,6 @@
 """The brute-force layer itself, checked against pure-python recomputation."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -8,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+from autsplit import endo, oracle
 from autsplit import matrices as mx
 from autsplit.endo import (
     BlockEndo,
@@ -15,6 +17,7 @@ from autsplit.endo import (
     add_endos,
     block_graphs,
     bmul,
+    bpow,
     cayley_graph,
     check_hom_constraints,
     compose,
@@ -31,18 +34,22 @@ from autsplit.endo import (
     layout,
     mul_rows,
     pow_endo,
+    pow_rows,
     q_order,
     sigma,
 )
 from autsplit.errors import (
     BudgetExceeded,
+    NotAUnit,
     Overflow,
     RankTooSmall,
     ShapeMismatch,
 )
 from autsplit.groups import (
+    DEFAULT_DELTA_BUDGET,
     aut_order,
     delta_order,
+    delta_order_exponent,
     enumerate_elements,
     gl_order,
     pi_order,
@@ -51,9 +58,11 @@ from autsplit.groups import (
 from autsplit.oracle import (
     _block_generators,
     _delta_array,
+    _delta_inverses,
     _diagonal_int_lift,
     _flat,
     _gl_generators,
+    _lift_candidates,
     _transvection_perturbation,
     _unflat,
     bijective_equivalence_report,
@@ -303,15 +312,19 @@ class TestArrayBFS:
             == elements
         assert graph.targets.shape == (len(elements), len(mats))
         assert graph.targets.reshape(-1).tolist() == targets
-        # each element's tree edge is the first edge into it
+        # each element's tree edge is the first edge into it, and leaves
+        # the depth just before the element's own
         first = {}
         for e, j in enumerate(targets):
-            first.setdefault(j, divmod(e, len(mats)))
-        assert all((graph.parent[j], graph.via[j]) == first[j]
-                   for j in range(1, len(elements)))
-        assert np.concatenate(
-            (np.zeros(1, dtype=np.int64),) + graph.levels).tolist() \
-            == list(range(len(elements)))
+            first.setdefault(j, e)
+        k = len(mats)
+        start, stop, tree_edges = 0, 1, []
+        for edges in graph.tree:
+            assert (edges < (stop - start) * k).all()
+            tree_edges += (start * k + edges).tolist()
+            start, stop = stop, stop + len(edges)
+        assert len(graph.tree[-1]) == 0
+        assert tree_edges == [first[j] for j in range(1, len(elements))]
         return graph
 
     @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (5, 2),
@@ -337,7 +350,7 @@ class TestArrayBFS:
     ])
     def test_trivial_group(self, p, r, mats):
         graph = self.check(p, r, mats)
-        assert graph.size == 1 and graph.levels == ()
+        assert graph.size == 1 and [len(t) for t in graph.tree] == [0]
 
     @pytest.mark.parametrize("cap", [1, 10, 47])
     def test_overflow_at_the_cap(self, cap):
@@ -497,6 +510,118 @@ class TestWalkEquivalence:
         assert all(walk_accepts(hs) == _closure_accepts(hs, spec)
                    for hs in sample)
         assert walk_accepts(sample[0])
+
+
+def _counting_bmul(monkeypatch, module):
+    """Wrap `module.bmul` to count the matrices it multiplies."""
+    count = [0]
+    real = module.bmul
+
+    def counting(lay, a, b):
+        out = real(lay, a, b)
+        count[0] += out[..., 0, 0].size
+        return out
+
+    monkeypatch.setattr(module, "bmul", counting)
+    return count
+
+
+class TestWalkCost:
+    """The fused walk: size*k products when it accepts, fewer when it
+    rejects early, and every edge checked, down to the deepest level."""
+
+    @staticmethod
+    def found_walk(p, blocks):
+        spec = validate_spec(p, blocks)
+        found = complement_lift_search(spec)
+        assert found.outcome == "Found"
+        lay = layout(spec)
+        (graph,) = block_graphs(spec, [g.mats for g in found.generators])[1]
+        hs = np.array([e.rows for e in found.images], dtype=lay.dtype)
+        return graph, hs, lay
+
+    @pytest.mark.parametrize("p,blocks", [(2, [(2, 2)]), (3, [(2, 2)]),
+                                          (2, [(2, 3)])])
+    def test_broken_edge_out_of_the_deepest_level(self, p, blocks):
+        graph, hs, lay = self.found_walk(p, blocks)
+        assert extend_along(graph, hs, lay) is not None
+        # the deepest level has no tree edges: each edge out of it is only
+        # checked, so redirect one of them; the last element lies there
+        assert len(graph.tree[-1]) == 0
+        i = graph.size - 1
+        targets = graph.targets.copy()
+        targets[i, 0] = (targets[i, 0] + 1) % graph.size
+        broken = dataclasses.replace(graph, targets=targets)
+        assert extend_along(broken, hs, lay) is None
+        rows = [tuple(map(tuple, h)) for h in hs.tolist()]
+        assert extend_along_rows(targets.reshape(-1).tolist(), graph.size,
+                                 rows, lay) is None
+
+    @pytest.mark.parametrize("p,blocks", [(2, [(2, 2)]), (3, [(2, 2)]),
+                                          (2, [(2, 3)]), (3, [(3, 2)])])
+    def test_accepted_walk_takes_size_times_k_products(self, monkeypatch,
+                                                        p, blocks):
+        graph, hs, lay = self.found_walk(p, blocks)
+        count = _counting_bmul(monkeypatch, endo)
+        assert extend_along(graph, hs, lay) is not None
+        assert count[0] == graph.size * len(hs)
+
+    def test_rejected_walk_stops_early(self, monkeypatch):
+        # the 11 assignments of (Z/11^2)^2 that pass the search's pair
+        # pre-check are each dropped a few levels into GL_2(F_11)
+        spec = validate_spec(11, [(2, 2)])
+        gens = find_generators_of_Q(spec)
+        lay = layout(spec)
+        order = q_order(q_mul(gens[0], gens[1]))
+        walked = [hs for hs in itertools.product(
+                      *_lift_candidates(spec, gens, DEFAULT_DELTA_BUDGET))
+                  if pow_rows(mul_rows(hs[0], hs[1], lay.moduli), order,
+                              lay) == lay.identity]
+        assert len(walked) == 11
+        (graph,) = block_graphs(spec, [g.mats for g in gens])[1]
+        assert graph.size == 13200
+        count = _counting_bmul(monkeypatch, endo)
+        for hs in walked:
+            count[0] = 0
+            stack = np.array(hs, dtype=lay.dtype)
+            assert extend_along(graph, stack, lay) is None
+            assert 0 < count[0] < graph.size * len(hs)
+
+
+class TestDeltaInverses:
+    """The Neumann inverse of kernel elements against Lagrange's
+    d^(|Delta| - 1)."""
+
+    @pytest.mark.parametrize("p,blocks", [
+        (11, [(2, 2)]), (2, [(1, 1), (2, 2)]), (3, [(1, 1), (2, 2)]),
+        (2, [(1, 2), (3, 1)]),
+    ])
+    def test_all_of_delta(self, p, blocks):
+        spec = validate_spec(p, blocks)
+        deltas = _delta_array(spec)
+        assert np.array_equal(_delta_inverses(spec, deltas),
+                              bpow(layout(spec), deltas, len(deltas) - 1))
+
+    def test_object_dtype(self):
+        spec = validate_spec(65537, [(2, 2)])
+        lay = layout(spec)
+        assert lay.dtype is object
+        rng = random.Random(0)
+        deltas = np.stack([_flat(random_delta_element(spec, rng))
+                           for _ in range(8)])
+        assert (_delta_inverses(spec, deltas).tolist()
+                == bpow(lay, deltas, delta_order(spec) - 1).tolist())
+
+    def test_outside_delta_stops_at_the_bound(self, monkeypatch):
+        # 2 * 1 is a unit outside Delta: x = 1 is not nilpotent
+        spec = validate_spec(3, [(2, 2)])
+        lay = layout(spec)
+        stack = np.concatenate([_delta_array(spec)[:5],
+                                (2 * lay.ident % lay.mods)[None]])
+        count = _counting_bmul(monkeypatch, oracle)
+        with pytest.raises(NotAUnit, match="not in the kernel"):
+            _delta_inverses(spec, stack)
+        assert count[0] == len(stack) * (delta_order_exponent(spec) + 1)
 
 
 class TestComplementSearch:
