@@ -2,10 +2,10 @@
 
 JSON (or CSV) results on stdout, logs on stderr.  Exit codes: 0 for any
 computed verdict (including Unknown), 2 for invalid input, 3 for budget
-exhaustion, 4 for a failed verification or a `batch` cross-check that
-raised (a bug signal), 5 when a section is requested for a group whose
-classifier verdict is not Splits.  Every flag can also be set through an
-AUTSPLIT_-prefixed environment variable; flags win.
+exhaustion or a certificate entry too long to print, 4 for a failed
+verification or a `batch` cross-check that raised (a bug signal), 5 for a
+section of a group whose classifier verdict is not Splits.  Every flag can
+also be set through an AUTSPLIT_-prefixed environment variable; flags win.
 
 Every section certificate that `section` prints, and every `batch` row that
 reports `SectionVerified`, has passed the complete Cayley-edge proof of
@@ -146,13 +146,19 @@ def cmd_section(prime, blocks, spec_file, cache_dir, seed,
         click.echo(f"no section: {exc}", err=True)
         sys.exit(EXIT_NOT_SPLIT)
     payload = cert.to_json()
+    try:  # before -o is opened, so an unprintable one leaves no file
+        text = json.dumps(payload, sort_keys=True)
+    except ValueError:  # an entry past the interpreter's digit limit
+        click.echo("budget exceeded: a certificate entry has more than "
+                   f"{sys.get_int_max_str_digits()} digits to print", err=True)
+        sys.exit(EXIT_BUDGET)
     if output:
         try:
             with open(output, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh, sort_keys=True, indent=1)
         except OSError as exc:
             _fail_invalid(exc)
-    _echo_json(payload)
+    click.echo(text)
     click.echo(
         f"verified: mode={report.mode} pairs={report.pairs_checked}", err=True)
 
@@ -255,16 +261,14 @@ def _oracle_cross_check(spec: PGroupSpec, outcome: str, seed: int,
         except (VerificationFailed, NotSplitBlock):
             return "SectionFailed", False
     if outcome == "DoesNotSplit":
-        if spec.ranks[0] >= 2 and delta_order(spec) <= budget_elems:
-            try:
-                report = _oracle.order_p_coset_obstruction(
-                    spec, budget=budget_elems)
-            except BudgetExceeded:  # the kernel array's byte bound
-                return None, None
-            if report.verdict == "NoOrderPLift":
-                return "NoOrderPLift", True
-            return "OrderPLiftExists", None
-        return None, None
+        try:
+            report = _oracle.order_p_coset_obstruction(
+                spec, budget=budget_elems)
+        except (RankTooSmall, BudgetExceeded):
+            return None, None
+        if report.verdict == "NoOrderPLift":
+            return "NoOrderPLift", True
+        return "OrderPLiftExists", None
     # Unknown region: record search data; there is no verdict to agree with
     result = _oracle.complement_lift_search(
         spec, seed=seed, assignment_budget=min(budget_assignments, 2 ** 14),

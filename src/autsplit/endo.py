@@ -518,17 +518,6 @@ def add_endos(a: BlockEndo, b: BlockEndo) -> BlockEndo:
     ))
 
 
-def neg_endo(a: BlockEndo) -> BlockEndo:
-    return BlockEndo(spec=a.spec, rows=tuple(
-        tuple((-x) % m for x in row)
-        for row, m in zip(a.rows, layout(a.spec).moduli)
-    ))
-
-
-def sub_endos(a: BlockEndo, b: BlockEndo) -> BlockEndo:
-    return add_endos(a, neg_endo(b))
-
-
 def compose(a: BlockEndo, b: BlockEndo) -> BlockEndo:
     """a after b: the flat product, row i reduced mod the modulus of its block.
 

@@ -212,10 +212,6 @@ def spec_to_json(spec: PGroupSpec) -> dict:
 
 # --- elements ---
 
-def zero_element(spec: PGroupSpec) -> GroupElement:
-    return tuple((0,) * r for _, r in spec.blocks)
-
-
 def check_element(spec: PGroupSpec, a: GroupElement) -> None:
     if len(a) != spec.num_blocks:
         raise ShapeMismatch(f"expected {spec.num_blocks} blocks, got {len(a)}")
@@ -231,20 +227,6 @@ def add_elements(spec: PGroupSpec, a: GroupElement, b: GroupElement) -> GroupEle
     return tuple(
         tuple((x + y) % m for x, y in zip(va, vb))
         for va, vb, m in zip(a, b, spec.moduli)
-    )
-
-
-def neg_element(spec: PGroupSpec, a: GroupElement) -> GroupElement:
-    check_element(spec, a)
-    return tuple(
-        tuple((-x) % m for x in vec) for vec, m in zip(a, spec.moduli)
-    )
-
-
-def scale_element(spec: PGroupSpec, c: int, a: GroupElement) -> GroupElement:
-    check_element(spec, a)
-    return tuple(
-        tuple((c * x) % m for x in vec) for vec, m in zip(a, spec.moduli)
     )
 
 

@@ -153,14 +153,6 @@ def enumerate_delta(spec: PGroupSpec, budget: int = DEFAULT_DELTA_BUDGET):
     yield from _endo_stream(spec, kernel=True, offset=identity_endo(spec))
 
 
-def enumerate_ideal(spec: PGroupSpec, budget: int = DEFAULT_DELTA_BUDGET):
-    """Yield the ideal of endomorphisms with diagonal cells vanishing mod p."""
-    size = delta_order(spec)
-    if size > budget:
-        raise BudgetExceeded(f"ideal size {size} exceeds budget {budget}")
-    yield from _endo_stream(spec, kernel=True, offset=None)
-
-
 def endo_count(spec: PGroupSpec) -> int:
     """Number of endomorphisms of G."""
     total = 1
@@ -211,18 +203,21 @@ def _kernel_size(spec: PGroupSpec, budget: int) -> int:
 
 def _delta_array(spec: PGroupSpec,
                  budget: int = DEFAULT_DELTA_BUDGET) -> np.ndarray:
-    """All of Delta as an (N, D, D) array, in the order of enumerate_delta."""
+    """All of Delta as an (N, D, D) array, in the order of enumerate_delta.
+
+    Row t holds the odometer digits of t, last entry fastest, each times its
+    entry's step; the identity is added and the rows reduced in place.
+    """
     size = _kernel_size(spec, budget)
     lay = layout(spec)
-    # entries with a single value stay 0 and add no axis to the grid
-    free = [entry for entry in _free_entry_ranges(spec, kernel=True)
-            if entry[3] > 1]
-    grids = np.meshgrid(*[np.arange(count, dtype=lay.dtype) * step
-                          for _, _, step, count in free], indexing="ij")
     out = np.zeros((size,) + lay.ident.shape, dtype=lay.dtype)
-    for (i, c, _, _), grid in zip(free, grids):
-        out[:, i, c] = grid.reshape(-1)
-    return (out + lay.ident) % lay.mods
+    rest = np.arange(size)
+    for i, c, step, count in reversed(_free_entry_ranges(spec, kernel=True)):
+        rest, digit = np.divmod(rest, count)
+        out[:, i, c] = digit.astype(lay.dtype) * step
+    out += lay.ident
+    out %= lay.mods
+    return out
 
 
 # --- random endomorphisms (seeded, for sampling-style checks) ---
@@ -565,9 +560,9 @@ def complement_lift_search(spec: PGroupSpec,
     blocks commute, and each block's images extend along every edge of its
     Cayley graph, one product per level of the graph's spanning tree.  An
     accepted assignment is checked on every edge; a rejected one stops at
-    the first level with an edge that disagrees.  The block graphs are
-    those that `find_generators_of_Q` already built to check generation,
-    so no search walks a group by BFS twice, and no search walks Q.
+    the first level with an edge that disagrees.  The block graphs, taken
+    once before the loop, are those that `find_generators_of_Q` built to
+    check generation, so no search walks a group twice, and none walks Q.
 
     A budget ends the search with a BudgetExceeded result whose evidence
     names it (`SearchResult`); the search raises none.
@@ -616,7 +611,7 @@ def complement_lift_search(spec: PGroupSpec,
             pair_orders[(i, j)] = q_order(q_mul(gens[i], gens[j]))
 
     lay = layout(spec)
-    graphs = None  # taken at the first walk: the pre-check may reject all
+    moves, graphs = block_graphs(spec, [g.mats for g in gens])
     tried = 0
     for assignment in itertools.product(*candidates):
         tried += 1
@@ -630,8 +625,6 @@ def complement_lift_search(spec: PGroupSpec,
                         o, lay) != lay.identity
                for (i, j), o in pair_orders.items()):
             continue
-        if graphs is None:
-            moves, graphs = block_graphs(spec, [g.mats for g in gens])
         if extend_by_blocks(moves, graphs, assignment, lay) is not None:
             images = tuple(BlockEndo(spec=spec, rows=h) for h in assignment)
             return SearchResult(spec, "Found", "exhaustive lift search",
@@ -691,10 +684,10 @@ def order_p_coset_obstruction(spec: PGroupSpec,
     (dtype=object) past that bound.
     """
     p = spec.p
-    lay = layout(spec)
     pert = _transvection_perturbation(spec)
-    base = add_endos(identity_endo(spec), pert)
-    coset = bmul(lay, _flat(base), _delta_array(spec, budget=budget))
+    deltas = _delta_array(spec, budget=budget)  # the bounds before the layout
+    lay = layout(spec)
+    coset = bmul(lay, _flat(add_endos(identity_endo(spec), pert)), deltas)
     # k[i] counts the p-th powers that row i needs to reach the identity;
     # only the rows not there yet are carried into the next round
     k = np.zeros(len(coset), dtype=np.int64)

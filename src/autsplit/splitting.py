@@ -132,35 +132,27 @@ def classify(spec: PGroupSpec) -> SplitVerdict:
     return SplitVerdict("Unknown", "outside-gap-hypothesis", per_block, gaps_ok)
 
 
-def first_block_phrasing(spec: PGroupSpec) -> bool:
-    """Equivalent rank-bound reading that singles out the first block.
-
-    True iff every later block has rank within bound and the first block is
-    elementary abelian or has rank within bound.  Asserted equal to "every
-    block splits" by the test suite.
-    """
-    b = rank_bound(spec.p)
-    n1, r1 = spec.blocks[0]
-    head_ok = n1 == 1 or r1 <= b
-    tail_ok = all(n == 1 or r <= b for n, r in spec.blocks[1:])
-    return head_ok and tail_ok
-
-
 # --- per-block sections ---
 
 def teichmuller_section(p: int, n: int):
     """The multiplicative lift of units: a -> a^(p^(n-1)) mod p^n.
 
     Reduces to a mod p, is multiplicative, and lands in the (p-1)-torsion.
-    For p = 2 the domain is the trivial group.
+    For p = 2 the domain is the trivial group.  It is the root of x^(p-1) = 1
+    that is a mod p, so Newton's iteration x <- x - x (x^(p-1) - 1) / (p-1),
+    mod p^k with k doubling and 1/(p-1) = -(p^k - 1)/(p-1), finds it in a
+    few products at the size of p^n; the power takes n*log2(p) of them.
     """
-    q = p ** n
-    e = p ** (n - 1)
 
     def omega(a: int) -> int:
         if a % p == 0:
             raise ValueError(f"{a} is not a unit mod {p}")
-        return pow(a % q, e, q)
+        x, k = a % p, 1
+        while k < n:
+            k = min(2 * k, n)
+            q = p ** k
+            x = (x + x * (pow(x, p - 1, q) - 1) * ((q - 1) // (p - 1))) % q
+        return x
 
     return omega
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -216,6 +217,34 @@ class TestSection:
         assert res.stderr.startswith("error: IsADirectoryError: ")
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("blocks", [["9100:1"], ["2:2", "9100:1"]])
+    def test_unprintable_certificate_is_a_budget_exit(self, runner, tmp_path,
+                                                      blocks):
+        # 3^9100 has 4342 digits, past the interpreter's default 4300
+        out = tmp_path / "cert.json"
+        args = ["section", "-p", "3", "-o", str(out)]
+        for b in blocks:
+            args += ["-b", b]
+        res = runner.invoke(main, args)
+        assert res.exit_code == EXIT_BUDGET
+        assert res.stderr == ("budget exceeded: a certificate entry has "
+                              "more than 4300 digits to print\n")
+        assert res.stdout == ""
+        assert not out.exists()
+
+    def test_trivial_quotient_with_a_long_exponent_prints(self, runner,
+                                                          tmp_path):
+        # n = 14300 puts 2^n past the digit limit, but there are no images
+        out = tmp_path / "cert.json"
+        res = runner.invoke(main, ["section", "-p", "2", "-b", "14300:1",
+                                   "-o", str(out)])
+        assert res.exit_code == 0
+        assert res.stdout == (
+            '{"generators": [], "images": [], "spec": {"blocks": [{"n": '
+            '14300, "r": 1}], "p": 2}, "verification": {"mode": '
+            '"cayley-edges", "ok": true, "pairs": 0}}\n')
+        assert json.loads(out.read_text()) == json.loads(res.stdout)
+
     def test_stored_spec_is_compared_before_parsing(self, tmp_path,
                                                     monkeypatch, capsys):
         # parsing a spec with n = 4*10^6 computes 2^n, which takes seconds
@@ -404,6 +433,18 @@ class TestBatch:
         row = json.loads(res.output.splitlines()[0])
         assert row["outcome"] == "DoesNotSplit"
         assert row["note"] == "classifier-only"
+
+    def test_long_rank_one_block_is_proved(self, runner, tmp_path):
+        # the multiplicative lift of 2 mod 3^20000, by Newton's iteration
+        f = tmp_path / "in.jsonl"
+        _write_jsonl(f, [{"p": 3, "blocks": [{"n": 20000, "r": 1}]}])
+        start = time.monotonic()
+        res = runner.invoke(main, ["batch", str(f), "--with-oracle"])
+        assert time.monotonic() - start < 10
+        assert res.exit_code == 0
+        row = json.loads(res.stdout)
+        assert row["oracle"] == "SectionVerified"
+        assert row["agreement"] is True
 
     def test_bad_line_stops_without_continue(self, runner, tmp_path):
         f = tmp_path / "in.jsonl"

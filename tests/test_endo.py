@@ -40,7 +40,6 @@ from autsplit.endo import (
     q_to_json,
     restrict_to_pk,
     sigma,
-    sub_endos,
     truncate_tail,
     weighted_lift,
     zero_endo,
@@ -191,7 +190,6 @@ class TestRingOperations:
             assert compose(ident, e) == e
             assert compose(e, ident) == e
             assert compose(zero_endo(spec), e) == zero_endo(spec)
-            assert sub_endos(e, e) == zero_endo(spec)
 
     def test_pow_endo(self):
         rng = random.Random(6)

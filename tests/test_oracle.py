@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,7 +74,6 @@ from autsplit.oracle import (
     endo_count,
     enumerate_delta,
     enumerate_endos,
-    enumerate_ideal,
     find_generators_of_Q,
     order_p_coset_obstruction,
     random_delta_element,
@@ -117,11 +117,6 @@ class TestEnumeration:
         assert len(set(deltas)) == len(deltas)
         for d in deltas:
             assert in_delta(d)
-
-    def test_ideal_is_shifted_delta(self):
-        ideal = set(enumerate_ideal(SPEC_Z2_Z4))
-        assert len(ideal) == delta_order(SPEC_Z2_Z4)
-        assert identity_endo(SPEC_Z2_Z4) not in ideal
 
     def test_endo_enumeration_complete(self):
         spec = SPEC_Z2_Z4
@@ -757,6 +752,8 @@ class TestBatchedKernel:
         (2, [(1, 1)]), (5, [(2, 1)]), (2, [(2, 2)]), (3, [(2, 2)]),
         (2, [(3, 2)]), (2, [(1, 1), (2, 1)]), (3, [(1, 1), (2, 2)]),
         (2, [(1, 2), (2, 2)]), (2, [(1, 1), (2, 1), (3, 1)]),
+        # the smallest (p; 2:1) whose layout holds Python ints (dtype object)
+        (55109, [(2, 1)]),
     ])
     def test_delta_array_is_enumeration_order(self, p, blocks):
         spec = validate_spec(p, blocks)
@@ -764,6 +761,18 @@ class TestBatchedKernel:
         want = [_flat(d).tolist() for d in enumerate_delta(spec)]
         assert arr.tolist() == want
         assert [_unflat(spec, m) for m in want] == list(enumerate_delta(spec))
+
+    def test_delta_array_is_built_in_place(self):
+        # beside the 18 MiB array only length-|Delta| index vectors are held
+        spec = validate_spec(2, [(3, 3)])
+        tracemalloc.start()
+        try:
+            arr = _delta_array(spec, budget=2 ** 18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arr.nbytes == 18 * 2 ** 20
+        assert peak < 1.5 * arr.nbytes
 
     def test_delta_array_budget(self):
         spec = validate_spec(2, [(4, 3)])

@@ -31,7 +31,6 @@ from autsplit.splitting import (
     build_verified_section,
     classify,
     classify_block,
-    first_block_phrasing,
     rank_bound,
     teichmuller_section,
     verify_section,
@@ -101,7 +100,6 @@ class TestClassify:
         every_block_splits = all(
             classify_block(spec.p, n, r).outcome == "Splits"
             for n, r in spec.blocks)
-        assert first_block_phrasing(spec) == every_block_splits
         assert every_block_splits == (classify(spec).outcome == "Splits")
 
 
@@ -126,6 +124,17 @@ class TestTeichmuller:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
             teichmuller_section(5, 2)(10)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_newton_lift_is_the_power(self, p):
+        # every unit mod p^min(n, 3): all of them for n <= 3, and for larger
+        # n representatives of every class mod p^3
+        for n in range(1, 12):
+            omega = teichmuller_section(p, n)
+            q = p ** n
+            for a in range(1, p ** min(n, 3)):
+                if a % p:
+                    assert omega(a) == pow(a, p ** (n - 1), q)
 
 
 class TestBlockSection:
