@@ -2,9 +2,9 @@
 
 JSON (or CSV) results on stdout, logs on stderr.  Exit codes: 0 for any
 computed verdict (including Unknown), 2 for invalid input, 3 for budget
-exhaustion or a certificate entry too long to print, 4 for a failed
-verification or a `batch` cross-check that raised (a bug signal), 5 for a
-section of a group whose classifier verdict is not Splits.  Every flag can
+exhaustion or a certificate whose entries may be too long to print, 4 for
+a failed verification or a `batch` cross-check that raised (a bug signal),
+5 for a section of a group whose classifier verdict is not Splits.  Every flag can
 also be set through an AUTSPLIT_-prefixed environment variable; flags win.
 
 Every section certificate that `section` prints, and every `batch` row that
@@ -22,6 +22,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 
@@ -41,6 +42,7 @@ from .groups import (
     DEFAULT_ELEMENT_BUDGET,
     PGroupSpec,
     delta_order,
+    gl_order,
     pi_order,
     spec_from_json,
     spec_to_json,
@@ -92,6 +94,37 @@ def _fail_invalid(exc) -> None:
     sys.exit(EXIT_INVALID)
 
 
+def _fail_unprintable() -> None:
+    click.echo("budget exceeded: a certificate entry has more than "
+               f"{sys.get_int_max_str_digits()} digits to print", err=True)
+    sys.exit(EXIT_BUDGET)
+
+
+def _may_be_unprintable(spec: PGroupSpec) -> bool:
+    """Whether a section's entries can pass the interpreter's digit limit.
+
+    An entry in a block of exponent n lies in [0, p^n), and in a block that
+    some quotient generator moves (|GL_r(F_p)| > 1) it can be any of them.
+    So the spec alone says when p^n - 1, the largest, has more digits than
+    `sys.get_int_max_str_digits()`, that is, when p^n > 10^limit; a limit
+    of 0 means none.  This answers before the search, which can take
+    seconds, learns whether the entries it found happen to be shorter.
+    Compared in logarithms, and exactly within one digit of the limit, so
+    a huge n costs nothing.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return False
+    for n, r in spec.blocks:
+        if gl_order(spec.p, r) == 1:
+            continue
+        digits = n * math.log10(spec.p)  # far less than 1 off
+        if digits > limit + 1 or (digits > limit - 1
+                                  and spec.p ** n > 10 ** limit):
+            return True
+    return False
+
+
 @click.group()
 def main() -> None:
     """Splitting decisions for the automorphism group of a finite abelian p-group."""
@@ -132,6 +165,8 @@ def cmd_section(prime, blocks, spec_file, cache_dir, seed,
         click.echo(f"classifier verdict is {verdict.outcome}; no section",
                    err=True)
         sys.exit(EXIT_NOT_SPLIT)
+    if _may_be_unprintable(spec):  # before any search, and before -o
+        _fail_unprintable()
     cache = CertificateCache(cache_dir) if cache_dir else None
     try:
         cert, report = build_verified_section(
@@ -149,9 +184,7 @@ def cmd_section(prime, blocks, spec_file, cache_dir, seed,
     try:  # before -o is opened, so an unprintable one leaves no file
         text = json.dumps(payload, sort_keys=True)
     except ValueError:  # an entry past the interpreter's digit limit
-        click.echo("budget exceeded: a certificate entry has more than "
-                   f"{sys.get_int_max_str_digits()} digits to print", err=True)
-        sys.exit(EXIT_BUDGET)
+        _fail_unprintable()
     if output:
         try:
             with open(output, "w", encoding="utf-8") as fh:

@@ -312,62 +312,131 @@ def bijective_equivalence_report(spec: PGroupSpec, samples: int = 10_000,
 
 # --- generators of the quotient product ---
 
+def _randbelow_words(p: int, rng: random.Random, words: int):
+    """The draws that `rng.randrange(p)` would make from the next `words`
+    32-bit words of `rng`'s stream, read with one `getrandbits` call.
+
+    CPython's `randrange(p)` takes k = p.bit_length() bits with
+    `getrandbits(k)`, which are the top k bits of the next word, and draws
+    again while they are >= p; `getrandbits(32 * words)` returns the next
+    words with the first in the lowest bits.  Returns (values, ends):
+    ends[i] counts the words taken up to and including values[i], so
+    `randrange(p)` called len(values) times leaves the stream where
+    `getrandbits(32 * ends[-1])` would.  Both are int64 arrays.
+    """
+    assert p.bit_length() <= 32  # one word per try
+    stream = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+    tops = np.frombuffer(stream, dtype="<u4") >> (32 - p.bit_length())
+    ends = np.flatnonzero(tops < p)
+    return tops[ends].astype(np.int64), ends + 1
+
+
+def _invertible_draws(p: int, r: int, rng: random.Random):
+    """Yield (matrix, code, words) for each invertible r x r matrix that a
+    search drawing its entries row by row with `rng.randrange(p)`, and
+    drawing again when the matrix is singular, would hand out, in order.
+
+    code is the matrix's base-p code, and words counts the 32-bit words of
+    the stream taken up to its last entry.  The stream is read ahead in
+    chunks that start small and double up to 4096 words
+    (`_randbelow_words`), so `rng` is left past the last matrix handed
+    out: the caller puts it back.  Each distinct code is tested for
+    invertibility once.
+    """
+    rr = r * r
+    assert p ** rr < 2 ** 63  # codes fit in int64, as in `endo.gl_bfs`
+    weights = p ** np.arange(rr - 1, -1, -1, dtype=np.int64)
+    invertible: dict[int, mx.Matrix | None] = {}
+    values = ends = np.empty(0, dtype=np.int64)  # the unused tail
+    taken, chunk = 0, 8 * rr
+    while True:
+        more, more_ends = _randbelow_words(p, rng, chunk)
+        values = np.concatenate((values, more))
+        ends = np.concatenate((ends, more_ends + taken))
+        taken += chunk
+        chunk = min(2 * chunk, 1 << 12)
+        cut = len(values) - len(values) % rr
+        flat = values[:cut].reshape(-1, rr)
+        codes = (flat @ weights).tolist()
+        for i, (code, end) in enumerate(zip(codes, ends[rr - 1:cut:rr]
+                                            .tolist())):
+            if code not in invertible:
+                cand = tuple(map(tuple, flat[i].reshape(r, r).tolist()))
+                invertible[code] = (cand if mx.is_invertible_mod_p(cand, p)
+                                    else None)
+            m = invertible[code]
+            if m is not None:
+                yield m, code, end
+        values, ends = values[cut:], ends[cut:]
+
+
 def _gl_generators(p: int, r: int, rng: random.Random):
     """Generators of GL_r(F_p): at most two, found by seeded random search,
     falling back to transvections plus a primitive-root diagonal.
 
-    Pairs whose orders are coprime to p are preferred: the lift search then
-    prunes their whole candidate coset down to a few conjugacy classes.
-    Generation is checked with `gl_span`, which keeps the Cayley graph of
-    the winning set for the proofs and searches that walk it later.  A search
-    draws the same few matrices again and again when p^(r*r) is small (the
-    400 draws of the p'-pass for GL_2(F_2), which no p'-pair generates), so
-    it tests each matrix's invertibility and order once; the draws, and so
-    the generators, are those of testing every draw afresh.  The search of
-    GL_2(F_2), run once per process and rank prefix, then costs about
-    10 ms instead of 30 on a 2-vCPU host, almost all of it the draws.
+    The search draws pairs of random invertible matrices, entries row by row
+    with `rng.randrange(p)`: first 400 pairs whose orders are coprime to p,
+    which the lift search prefers because it prunes their whole candidate
+    coset down to a few conjugacy classes, then 200 pairs of any order.
+    The draws come in bulk from the same stream (`_invertible_draws`), and
+    on every exit, a raise included, `rng` is put back where drawing the
+    same pairs one `randrange` at a time would leave it; so the
+    generators, and the state the next block draws from, are those of the
+    plain search.  A pair that commutes cannot generate, since GL_r(F_p) is
+    not abelian for r >= 2, so only a non-commuting pair has its generation
+    checked with `gl_span`, which keeps the Cayley graph of the winning set
+    for the proofs and searches that walk it later.  Orders, commutation
+    and generation are taken once per matrix or pair of matrices, and only
+    when a pair reaches them.  For GL_2(F_2), whose p'-elements all lie in
+    A_3, the search then walks one graph, the winner's.
     """
     target = gl_order(p, r)
     if target == 1:
         return []
     if r == 1:
         return [((primitive_root(p),),)]
-    ident = mx.identity(r)
+    saved = rng.getstate()
+    draws = _invertible_draws(p, r, rng)
+    used = 0  # the words up to the last matrix handed out
+    order_is_p_prime: dict[int, bool] = {}
+    generating: dict[tuple[int, int], bool] = {}
 
-    def generates(mats):
-        return gl_span(p, r, tuple(mats))[1] is not None
+    def draw():
+        nonlocal used
+        m, code, used = next(draws)
+        return m, code
 
-    invertible: dict[mx.Matrix, bool] = {}
-    order_is_p_prime: dict[mx.Matrix, bool] = {}
-    randrange = rng.randrange
-    draws = range(r * r)
-    rows = range(0, r * r, r)
-
-    def random_invertible():
-        while True:
-            flat = [randrange(p) for _ in draws]  # row by row
-            cand = tuple(tuple(flat[i:i + r]) for i in rows)
-            ok = invertible.get(cand)
-            if ok is None:
-                ok = invertible[cand] = mx.is_invertible_mod_p(cand, p)
-            if ok:
-                return cand
-
-    def p_prime(m):
-        ok = order_is_p_prime.get(m)
+    def p_prime(drawn):
+        m, code = drawn
+        ok = order_is_p_prime.get(code)
         if ok is None:
-            ok = order_is_p_prime[m] = (
+            ok = order_is_p_prime[code] = (
                 q_order(QElement(p=p, mats=(m,))) % p != 0)
         return ok
 
-    for want_p_prime in (True, False):
-        for _ in range(400 if want_p_prime else 200):
-            pair = [random_invertible(), random_invertible()]
-            if want_p_prime and not all(p_prime(m) for m in pair):
-                continue
-            if generates(pair):
-                return pair
+    def generates(a, b):
+        key = (a[1], b[1])
+        ok = generating.get(key)
+        if ok is None:
+            ok = generating[key] = (
+                mx.mat_mul(a[0], b[0], p) != mx.mat_mul(b[0], a[0], p)
+                and gl_span(p, r, (a[0], b[0]))[1] is not None)
+        return ok
+
+    try:
+        for want_p_prime in (True, False):
+            for _ in range(400 if want_p_prime else 200):
+                a, b = draw(), draw()
+                if want_p_prime and not (p_prime(a) and p_prime(b)):
+                    continue
+                if generates(a, b):
+                    return [a[0], b[0]]
+    finally:
+        draws.close()
+        rng.setstate(saved)
+        rng.getrandbits(32 * used)
     # fallback: all elementary transvections plus diag(zeta, 1, ..., 1)
+    ident = mx.identity(r)
     gens = []
     for i in range(r):
         for j in range(r):
@@ -378,7 +447,7 @@ def _gl_generators(p: int, r: int, rng: random.Random):
     d = [list(row) for row in ident]
     d[0][0] = primitive_root(p)
     gens.append(tuple(tuple(row) for row in d))
-    if not generates(gens):
+    if gl_span(p, r, tuple(gens))[1] is None:
         raise RuntimeError("fallback generators failed to generate")
     return gens
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import autsplit
-from autsplit import endo, oracle, splitting
+from autsplit import cli, endo, oracle, splitting
 from autsplit import matrices as mx
 from autsplit.cache import CertificateCache
 from autsplit.cli import (
@@ -231,6 +232,51 @@ class TestSection:
                               "more than 4300 digits to print\n")
         assert res.stdout == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("blocks", [["300000:1"], ["2:2", "9100:1"],
+                                        ["10000000000000:1"]])
+    def test_unprintable_exits_before_any_search(self, runner, tmp_path,
+                                                 blocks, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched for a section")
+        monkeypatch.setattr(cli, "build_verified_section", no_search)
+        out = tmp_path / "cert.json"
+        args = ["section", "-p", "3", "-o", str(out)]
+        for b in blocks:
+            args += ["-b", b]
+        res = runner.invoke(main, args)
+        assert res.exit_code == EXIT_BUDGET
+        assert res.stderr == ("budget exceeded: a certificate entry has "
+                              "more than 4300 digits to print\n")
+        assert res.stdout == ""
+        assert not out.exists()
+
+    def test_unprintable_after_the_search_is_still_a_budget_exit(
+            self, runner, tmp_path, monkeypatch):
+        # the late check stays as the backstop of the one from the spec
+        monkeypatch.setattr(cli, "_may_be_unprintable", lambda spec: False)
+        out = tmp_path / "cert.json"
+        res = runner.invoke(main, ["section", "-p", "3", "-b", "9100:1",
+                                   "-o", str(out)])
+        assert res.exit_code == EXIT_BUDGET
+        assert res.stderr == ("budget exceeded: a certificate entry has "
+                              "more than 4300 digits to print\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_unprintable_from_the_spec_at_the_limit(self, p, monkeypatch):
+        # p^n - 1 has more than `limit` digits exactly when p^n > 10^limit
+        for limit in (640, 4300):
+            monkeypatch.setattr(sys, "get_int_max_str_digits",
+                                lambda: limit)
+            edge = int(limit / math.log10(p))
+            for n in range(edge - 2, edge + 3):
+                moved = validate_spec(p, [(n, 2)])
+                assert (cli._may_be_unprintable(moved)
+                        == (p ** n - 1 >= 10 ** limit))
+        assert not cli._may_be_unprintable(validate_spec(2, [(10 ** 6, 1)]))
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        assert not cli._may_be_unprintable(validate_spec(p, [(10 ** 6, 2)]))
 
     def test_trivial_quotient_with_a_long_exponent_prints(self, runner,
                                                           tmp_path):

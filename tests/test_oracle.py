@@ -64,6 +64,7 @@ from autsplit.oracle import (
     _flat,
     _gl_generators,
     _lift_candidates,
+    _randbelow_words,
     _transvection_perturbation,
     _unflat,
     bijective_equivalence_report,
@@ -82,6 +83,7 @@ from autsplit.oracle import (
 )
 from autsplit.endo import apply, q_mul
 from autsplit.errors import PreconditionViolation
+from random_stream_facts import check_facts
 
 SPEC_Z2_Z4 = validate_spec(2, [(1, 1), (2, 1)])
 
@@ -253,28 +255,32 @@ class TestGenerators:
         assert all(expected)
 
     @staticmethod
-    def plain_search(p, r, rng):
-        # the search with every draw tested afresh; GL_r(F_p) for r >= 2
-        # has no fallback within these (p, r)
-        def draw():
-            while True:
-                m = tuple(tuple(rng.randrange(p) for _ in range(r))
-                          for _ in range(r))
-                if mx.is_invertible_mod_p(m, p):
-                    return m
+    def plain_draw(p, r, rng):
+        # one invertible matrix, entries row by row, drawn again if singular
+        while True:
+            m = tuple(tuple(rng.randrange(p) for _ in range(r))
+                      for _ in range(r))
+            if mx.is_invertible_mod_p(m, p):
+                return m
+
+    @classmethod
+    def plain_search(cls, p, r, rng, span=gl_span):
+        # the search with every draw tested afresh and every pair walked;
+        # GL_r(F_p) for r >= 2 has no fallback within these (p, r)
         for want_p_prime in (True, False):
             for _ in range(400 if want_p_prime else 200):
-                pair = [draw(), draw()]
+                pair = [cls.plain_draw(p, r, rng), cls.plain_draw(p, r, rng)]
                 if want_p_prime and any(
                         q_order(QElement(p=p, mats=(m,))) % p == 0
                         for m in pair):
                     continue
-                if gl_span(p, r, tuple(pair))[1] is not None:
+                if span(p, r, tuple(pair))[1] is not None:
                     return pair
         raise AssertionError("plain search fell through")
 
-    @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (5, 2)])
-    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 4),
+                                     (3, 3), (7, 2), (11, 2), (13, 2)])
+    @pytest.mark.parametrize("seed", [0, 5, 17])
     def test_search_draws_as_plain_search(self, p, r, seed, monkeypatch):
         plain_rng, rng = random.Random(seed), random.Random(seed)
         expected = self.plain_search(p, r, plain_rng)
@@ -290,6 +296,78 @@ class TestGenerators:
         # each drawn matrix has its order taken once: for GL_2(F_2) that
         # is 6 orders for the 400 pairs of the p'-pass, which all fail
         assert len(calls) == len(set(calls)) <= gl_order(p, r)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31])
+    def test_decoded_stream_is_randrange(self, p):
+        rng = random.Random(p)
+        rng.random(), rng.randrange(1000), rng.getrandbits(7)  # mid-stream
+        start = rng.getstate()
+        values, ends = _randbelow_words(p, rng, 200)
+        plain = random.Random()
+        plain.setstate(start)
+        assert values.tolist() == [plain.randrange(p) for _ in values]
+        assert len(values) > 0 and ends[-1] <= 200
+        replay = random.Random()
+        replay.setstate(start)
+        replay.getrandbits(32 * int(ends[-1]))
+        assert replay.getstate() == plain.getstate()
+        # the chunk holds every draw that ends within its 200 words
+        replay.setstate(start)
+        longer, longer_ends = _randbelow_words(p, replay, 400)
+        assert longer[:len(values)].tolist() == values.tolist()
+        assert longer_ends[:len(ends)].tolist() == ends.tolist()
+        assert longer[len(values)] == plain.randrange(p)
+        assert longer_ends[len(ends)] > 200
+
+    def test_stream_facts_hold_here(self):
+        # the stdlib-only check that `_randbelow_words` rests on
+        assert check_facts() > 0
+
+    @pytest.mark.parametrize("seed", [0, 5, 17])
+    def test_gl_2_2_walks_one_graph(self, seed, monkeypatch):
+        # its p'-pairs all lie in the abelian A_3, so they are turned down
+        # without a walk, and so are the commuting pairs of the next pass
+        walks = []
+        real_bfs = endo.gl_bfs
+
+        def counting_bfs(p, r, mats, cap):
+            walks.append(mats)
+            return real_bfs(p, r, mats, cap)
+        monkeypatch.setattr(endo, "gl_bfs", counting_bfs)
+        gl_span.cache_clear()
+        gens = _gl_generators(2, 2, random.Random(seed))
+        assert walks == [tuple(gens)]
+
+    def test_fallback_leaves_the_stream_after_1200_draws(self, monkeypatch):
+        real_span = gl_span
+
+        def no_pair_generates(p, r, mats):
+            return (0, None) if len(mats) == 2 else real_span(p, r, mats)
+        monkeypatch.setattr("autsplit.oracle.gl_span", no_pair_generates)
+        rng, plain = random.Random(3), random.Random(3)
+        gens = _gl_generators(3, 2, rng)
+        assert gens == [((1, 1), (0, 1)), ((1, 0), (1, 1)),
+                        ((2, 0), (0, 1))]
+        for _ in range(1200):
+            self.plain_draw(3, 2, plain)
+        assert rng.getstate() == plain.getstate()
+
+    @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (5, 2)])
+    def test_a_raise_leaves_the_stream_at_the_pair(self, p, r, monkeypatch):
+        # the walk of the winning pair raises: both searches stop there
+        winner = tuple(self.plain_search(p, r, random.Random(0)))
+
+        def span_raising_at_winner(p, r, mats):
+            if mats == winner:
+                raise Overflow("stop")
+            return gl_span(p, r, mats)
+        plain, rng = random.Random(0), random.Random(0)
+        with pytest.raises(Overflow):
+            self.plain_search(p, r, plain, span=span_raising_at_winner)
+        monkeypatch.setattr("autsplit.oracle.gl_span", span_raising_at_winner)
+        with pytest.raises(Overflow):
+            _gl_generators(p, r, rng)
+        assert rng.getstate() == plain.getstate()
 
 
 class TestArrayBFS:
