@@ -22,12 +22,12 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import AutSplitError, VerificationFailed
+from .errors import BAD_INPUT, AutSplitError, VerificationFailed
 from .groups import spec_to_json, validate_spec
 from .splitting import SectionCertificate, VerificationReport, verify_section
 
 #: What reading, parsing or proving an untrusted cache file can raise.
-_BAD_ENTRY = (OSError, ValueError, AutSplitError)
+_BAD_ENTRY = (*BAD_INPUT, AutSplitError)
 
 #: The name of the entry for block (p, n, r).
 _ENTRY_NAME = re.compile(r"block-p([1-9]\d*)-n([1-9]\d*)-r([1-9]\d*)\.json")

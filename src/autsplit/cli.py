@@ -4,8 +4,10 @@ JSON (or CSV) results on stdout, logs on stderr.  Exit codes: 0 for any
 computed verdict (including Unknown), 2 for invalid input, 3 for budget
 exhaustion or a certificate whose entries may be too long to print, 4 for
 a failed verification or a `batch` cross-check that raised (a bug signal),
-5 for a section of a group whose classifier verdict is not Splits.  Every flag can
-also be set through an AUTSPLIT_-prefixed environment variable; flags win.
+5 for a section of a group whose classifier verdict is not Splits.  One
+table, `_EXITS`, maps the exceptions that end a command to these; any other
+is a bug.  Every flag can also be set through an AUTSPLIT_-prefixed
+environment variable; flags win.
 
 Every section certificate that `section` prints, and every `batch` row that
 reports `SectionVerified`, has passed the complete Cayley-edge proof of
@@ -31,6 +33,7 @@ import click
 from . import oracle as _oracle
 from .cache import CertificateCache
 from .errors import (
+    BAD_INPUT,
     BudgetExceeded,
     NotSplitBlock,
     RankTooSmall,
@@ -84,20 +87,13 @@ def _spec_from_options(p, blocks, spec_file) -> PGroupSpec:
         if p is None or not blocks:
             raise SpecError("provide -p and -b n:r, or --spec-file")
         return validate_spec(p, _parse_blocks(blocks))
-    except (SpecError, json.JSONDecodeError, OSError,
-            UnicodeDecodeError) as exc:
+    except BAD_INPUT as exc:
         _fail_invalid(exc)
 
 
 def _fail_invalid(exc) -> None:
     click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
     sys.exit(EXIT_INVALID)
-
-
-def _fail_unprintable() -> None:
-    click.echo("budget exceeded: a certificate entry has more than "
-               f"{sys.get_int_max_str_digits()} digits to print", err=True)
-    sys.exit(EXIT_BUDGET)
 
 
 def _may_be_unprintable(spec: PGroupSpec) -> bool:
@@ -125,7 +121,27 @@ def _may_be_unprintable(spec: PGroupSpec) -> bool:
     return False
 
 
-@click.group()
+#: Exit code and stderr prefix for each exception that may end a command;
+#: looked up by exact type, as none of these has a subclass.
+_EXITS = {
+    RankTooSmall: (EXIT_INVALID, "error: RankTooSmall"),
+    BudgetExceeded: (EXIT_BUDGET, "budget exceeded"),
+    VerificationFailed: (EXIT_VERIFY_FAILED, "verification failed (bug signal)"),
+    NotSplitBlock: (EXIT_NOT_SPLIT, "no section"),
+}
+
+
+class _Main(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(_EXITS) as exc:
+            code, prefix = _EXITS[type(exc)]
+            click.echo(f"{prefix}: {exc}", err=True)
+            sys.exit(code)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Splitting decisions for the automorphism group of a finite abelian p-group."""
 
@@ -165,26 +181,19 @@ def cmd_section(prime, blocks, spec_file, cache_dir, seed,
         click.echo(f"classifier verdict is {verdict.outcome}; no section",
                    err=True)
         sys.exit(EXIT_NOT_SPLIT)
+    unprintable = BudgetExceeded("a certificate entry has more than "
+                                 f"{sys.get_int_max_str_digits()} digits to "
+                                 "print")
     if _may_be_unprintable(spec):  # before any search, and before -o
-        _fail_unprintable()
+        raise unprintable
     cache = CertificateCache(cache_dir) if cache_dir else None
-    try:
-        cert, report = build_verified_section(
-            spec, seed=seed, oracle_budget=budget_assignments, cache=cache)
-    except BudgetExceeded as exc:
-        click.echo(f"budget exceeded: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
-    except VerificationFailed as exc:
-        click.echo(f"verification failed (bug signal): {exc}", err=True)
-        sys.exit(EXIT_VERIFY_FAILED)
-    except NotSplitBlock as exc:
-        click.echo(f"no section: {exc}", err=True)
-        sys.exit(EXIT_NOT_SPLIT)
+    cert, report = build_verified_section(
+        spec, seed=seed, oracle_budget=budget_assignments, cache=cache)
     payload = cert.to_json()
     try:  # before -o is opened, so an unprintable one leaves no file
         text = json.dumps(payload, sort_keys=True)
     except ValueError:  # an entry past the interpreter's digit limit
-        _fail_unprintable()
+        raise unprintable from None
     if output:
         try:
             with open(output, "w", encoding="utf-8") as fh:
@@ -210,12 +219,8 @@ def cmd_bijective_equiv(prime, blocks, spec_file, samples, seed,
                         budget_elems) -> None:
     """Compare the unit criterion against brute-force bijectivity."""
     spec = _spec_from_options(prime, blocks, spec_file)
-    try:
-        report = _oracle.bijective_equivalence_report(
-            spec, samples=samples, seed=seed, element_budget=budget_elems)
-    except BudgetExceeded as exc:
-        click.echo(f"budget exceeded: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
+    report = _oracle.bijective_equivalence_report(
+        spec, samples=samples, seed=seed, element_budget=budget_elems)
     _echo_json(report.to_json())
     sys.exit(EXIT_OK if report.disagreements == 0 else EXIT_VERIFY_FAILED)
 
@@ -227,12 +232,8 @@ def cmd_delta_count(prime, blocks, spec_file, budget_elems) -> None:
     """Check the kernel-size formula against direct enumeration."""
     spec = _spec_from_options(prime, blocks, spec_file)
     formula = delta_order(spec)
-    try:
-        enumerated = sum(1 for _ in _oracle.enumerate_delta(
-            spec, budget=budget_elems))
-    except BudgetExceeded as exc:
-        click.echo(f"budget exceeded: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
+    enumerated = sum(1 for _ in _oracle.enumerate_delta(
+        spec, budget=budget_elems))
     _echo_json({"spec": spec_to_json(spec), "formula": formula,
                 "enumerated": enumerated, "agree": formula == enumerated})
 
@@ -243,13 +244,7 @@ def cmd_delta_count(prime, blocks, spec_file, budget_elems) -> None:
 def cmd_obstruction(prime, blocks, spec_file, budget_elems) -> None:
     """Scan the transvection-lift coset for an order-p element."""
     spec = _spec_from_options(prime, blocks, spec_file)
-    try:
-        report = _oracle.order_p_coset_obstruction(spec, budget=budget_elems)
-    except RankTooSmall as exc:
-        _fail_invalid(exc)
-    except BudgetExceeded as exc:
-        click.echo(f"budget exceeded: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
+    report = _oracle.order_p_coset_obstruction(spec, budget=budget_elems)
     _echo_json(report.to_json())
 
 
@@ -274,11 +269,6 @@ def cmd_complement_search(prime, blocks, spec_file, seed, budget_assignments,
 
 # --- batch sweeps ---
 
-#: The oracle stage that cross-checks each classifier outcome in `batch`.
-_CROSS_CHECK_STAGE = {"Splits": "section", "DoesNotSplit": "obstruction",
-                     "Unknown": "complement-search"}
-
-
 def _oracle_cross_check(spec: PGroupSpec, outcome: str, seed: int,
                         budget_assignments: int, budget_elems: int):
     """(oracle_verdict, agreement) for one spec; agreement None = classifier-only."""
@@ -302,21 +292,12 @@ def _oracle_cross_check(spec: PGroupSpec, outcome: str, seed: int,
         if report.verdict == "NoOrderPLift":
             return "NoOrderPLift", True
         return "OrderPLiftExists", None
-    # Unknown region: record search data; there is no verdict to agree with
-    result = _oracle.complement_lift_search(
-        spec, seed=seed, assignment_budget=min(budget_assignments, 2 ** 14),
-        delta_budget=budget_elems)
-    if result.outcome == "BudgetExceeded":
-        return None, None
-    return result.outcome, None
+    # Unknown: any lift search's kernel array would pass KERNEL_BYTES
+    return None, None
 
 
-def _batch_row(line: str, lineno: int, with_oracle: bool, seed: int,
+def _batch_row(spec: PGroupSpec, lineno: int, with_oracle: bool, seed: int,
                budget_assignments: int, budget_elems: int) -> dict:
-    try:
-        spec = spec_from_json(json.loads(line))
-    except (SpecError, json.JSONDecodeError, TypeError) as exc:
-        return {"line": lineno, "error": f"{type(exc).__name__}: {exc}"}
     verdict = classify(spec)
     row = {
         "line": lineno,
@@ -331,7 +312,7 @@ def _batch_row(line: str, lineno: int, with_oracle: bool, seed: int,
             oracle_verdict, agreement = _oracle_cross_check(
                 spec, verdict.outcome, seed, budget_assignments, budget_elems)
         except Exception as exc:  # a bug signal; the other rows go on
-            stage = _CROSS_CHECK_STAGE[verdict.outcome]
+            stage = "section" if verdict.outcome == "Splits" else "obstruction"
             row["error"] = f"{stage}: {type(exc).__name__}: {exc}"
             return row
         row["oracle"] = oracle_verdict
@@ -359,28 +340,38 @@ def cmd_batch(input_file, with_oracle, seed, budget_assignments, budget_elems,
               fmt, continue_on_error, workers) -> None:
     """One verdict row per spec line of a JSONL file.
 
-    A line that is not a valid spec is an error row and exits 2 (at once,
-    unless --continue).  A cross-check that raises is an error row naming
-    its stage; the other rows are printed, and the run exits 4.
+    A line that is not a valid spec is an error row and exits 2 (before any
+    cross-check, unless --continue).  A cross-check that raises is an error
+    row naming its stage; the other rows are printed, and the run exits 4.
     """
     try:
         with open(input_file, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
-    except (OSError, UnicodeDecodeError) as exc:
+    except BAD_INPUT as exc:
         _fail_invalid(exc)
+
+    rows, specs = {}, {}
+    for lineno, line in enumerate(lines, 1):
+        try:
+            specs[lineno] = spec_from_json(json.loads(line))
+        except (*BAD_INPUT, TypeError) as exc:
+            rows[lineno] = {"line": lineno,
+                            "error": f"{type(exc).__name__}: {exc}"}
+    if rows and not continue_on_error:
+        specs = {}  # the first error row exits below, before any cross-check
 
     row_of = functools.partial(
         _batch_row, with_oracle=with_oracle, seed=seed,
         budget_assignments=budget_assignments, budget_elems=budget_elems)
-    linenos = range(1, len(lines) + 1)
     # a process pool starts all of its workers at the first submit
-    workers = min(workers, len(lines), os.cpu_count() or 1)
+    workers = min(workers, len(specs), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row_of, lines, linenos))
+            rows.update(zip(specs, pool.map(row_of, specs.values(), specs)))
     else:
-        rows = list(map(row_of, lines, linenos))
+        rows.update(zip(specs, map(row_of, specs.values(), specs)))
+    rows = [rows[lineno] for lineno in sorted(rows)]
 
     had_error = False
     stage_failed = False

@@ -98,7 +98,8 @@ def layout(spec: PGroupSpec) -> Layout:
     D = spec.total_rank
     moduli = tuple(m for _, m, _ in per_row)
     identity = tuple(tuple(int(i == c) for c in range(D)) for i in range(D))
-    dtype = np.int64 if D * (spec.moduli[-1] - 1) ** 2 < 2 ** 63 else object
+    big = spec.moduli[-1] - 1  # big >= 2^32 puts D * big^2 past 2^63 unsquared
+    dtype = np.int64 if big < 2 ** 32 and D * big ** 2 < 2 ** 63 else object
     mods = np.array(moduli, dtype=dtype)[:, None]
     ident = np.array(identity, dtype=dtype)
     mods.flags.writeable = ident.flags.writeable = False

@@ -1,7 +1,8 @@
 """Exception hierarchy for the package.
 
 Every structured failure mode gets its own class so callers (and the CLI's
-exit-code mapping) can dispatch on type rather than on message text.
+exit table) can dispatch on type rather than on message text; `BAD_INPUT` is
+what reading untrusted JSON (a spec file, a batch line, a cache entry) raises.
 """
 
 
@@ -93,3 +94,8 @@ class VerificationFailed(AutSplitError):
     def __init__(self, message, counterexample=None):
         super().__init__(message)
         self.counterexample = counterexample
+
+
+#: Bad UTF-8, bad JSON, an integer literal past the digit limit and a
+#: SpecError are all ValueErrors; JSON nested too deeply is a RecursionError.
+BAD_INPUT = (OSError, ValueError, RecursionError)

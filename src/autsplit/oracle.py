@@ -104,8 +104,9 @@ def brute_force_is_bijective(e: BlockEndo,
     mods = layout(spec).mods[:, 0]
     img = (table @ _flat(e).T) % mods
     weights = np.concatenate(([1], np.cumprod(mods[:-1])))
-    packed = img @ weights
-    return int(np.unique(packed).size) == order
+    hit = np.zeros(order, dtype=bool)  # packed codes lie in [0, order)
+    hit[(img @ weights).astype(np.intp, copy=False)] = True
+    return bool(hit.all())
 
 
 # --- enumeration of the kernel and of all endomorphisms ---
@@ -689,7 +690,7 @@ def complement_lift_search(spec: PGroupSpec,
                                 assignments_tried=tried - 1, seed=seed)
         if time_budget is not None and time.monotonic() - start > time_budget:
             return SearchResult(spec, "BudgetExceeded", "time budget",
-                                assignments_tried=tried, seed=seed)
+                                assignments_tried=tried - 1, seed=seed)
         if any(pow_rows(mul_rows(assignment[i], assignment[j], lay.moduli),
                         o, lay) != lay.identity
                for (i, j), o in pair_orders.items()):

@@ -1,6 +1,7 @@
 """Command-line interface, driven through click's test runner."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -24,6 +25,12 @@ from autsplit.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from autsplit.errors import (
+    BudgetExceeded,
+    NotSplitBlock,
+    RankTooSmall,
+    VerificationFailed,
+)
 from autsplit.groups import (
     delta_order,
     gl_order,
@@ -38,6 +45,14 @@ from autsplit.splitting import (
     verify_section,
 )
 from conftest import SWEEP50_PATH
+
+
+#: JSON past the parser's limits: nested too deeply for its recursion, and
+#: an integer literal past the interpreter's 4300-digit limit.
+TOO_DEEP = "[" * 100_000 + "]" * 100_000
+TOO_LONG = '{"p": 5, "blocks": [{"n": ' + "1" * 5000 + ', "r": 1}]}'
+PARSER_LIMITS = [(TOO_DEEP, "RecursionError: "),
+                 (TOO_LONG, "ValueError: Exceeds the limit (4300 digits)")]
 
 
 @pytest.fixture
@@ -87,6 +102,65 @@ class TestClassify:
         res = runner.invoke(main, ["classify", "--spec-file", str(f)])
         assert res.exit_code == EXIT_INVALID
         assert res.stderr.startswith("error: UnicodeDecodeError: ")
+
+    @pytest.mark.parametrize("text,error", PARSER_LIMITS,
+                             ids=["too-deep", "too-long"])
+    def test_spec_file_past_the_parser_limits(self, runner, tmp_path, text,
+                                              error):
+        f = tmp_path / "spec.json"
+        f.write_text(text)
+        res = runner.invoke(main, ["classify", "--spec-file", str(f)])
+        assert res.exit_code == EXIT_INVALID
+        assert res.stderr.startswith(f"error: {error}")
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stdout == ""
+
+
+@pytest.mark.parametrize("exc,code,prefix", [
+    (RankTooSmall, EXIT_INVALID, "error: RankTooSmall"),
+    (BudgetExceeded, EXIT_BUDGET, "budget exceeded"),
+    (VerificationFailed, EXIT_VERIFY_FAILED,
+     "verification failed (bug signal)"),
+    (NotSplitBlock, EXIT_NOT_SPLIT, "no section"),
+], ids=["RankTooSmall", "BudgetExceeded", "VerificationFailed",
+        "NotSplitBlock"])
+def test_exit_table(runner, monkeypatch, exc, code, prefix):
+    def failing(*args, **kwargs):
+        raise exc("the message")
+
+    monkeypatch.setattr(cli, "build_verified_section", failing)
+    res = runner.invoke(main, ["section", "-p", "2", "-b", "2:2"])
+    assert res.exit_code == code
+    assert res.stderr == f"{prefix}: the message\n"
+    assert res.stdout == ""
+
+
+def test_other_exceptions_are_bugs_with_a_traceback(runner, monkeypatch):
+    def failing(*args, **kwargs):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(cli, "build_verified_section", failing)
+    res = runner.invoke(main, ["section", "-p", "2", "-b", "2:2"])
+    assert isinstance(res.exception, RuntimeError)
+    assert res.exit_code == 1
+
+
+def test_module_entry_point_reads_the_environment():
+    # `python -m autsplit.cli` runs `run()`, which reads AUTSPLIT_ variables
+    src = str(Path(autsplit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("AUTSPLIT_")}
+
+    def section(*flags, **variables):
+        return subprocess.run(
+            [sys.executable, "-m", "autsplit.cli", "section", "-p", "2",
+             "-b", "2:3", *flags], check=True, capture_output=True,
+            env={**env, "PYTHONPATH": src, **variables}).stdout
+
+    seeded = section("--seed", "5")
+    assert section(AUTSPLIT_SECTION_SEED="5") == seeded
+    assert section() != seeded
+    assert section("--seed", "0", AUTSPLIT_SECTION_SEED="5") == section()
 
 
 def test_cli_import_leaves_out_sympy():
@@ -176,8 +250,9 @@ class TestSection:
         lambda text: json.dumps(build_verified_section(
             validate_spec(2, [(1, 2)]))[0].to_json()),
         _float_entries,
+        lambda text: TOO_DEEP,
     ], ids=["truncated", "not-json", "fails-proof", "other-block",
-            "float-entries"])
+            "float-entries", "too-deep"])
     def test_bad_cache_entry_is_a_miss(self, runner, tmp_path, corrupt):
         cache = tmp_path / "cache"
         args = ["section", "-p", "2", "-b", "2:2", "--cache-dir", str(cache)]
@@ -492,11 +567,20 @@ class TestBatch:
         assert row["oracle"] == "SectionVerified"
         assert row["agreement"] is True
 
-    def test_bad_line_stops_without_continue(self, runner, tmp_path):
+    def test_bad_line_stops_without_continue(self, runner, tmp_path,
+                                             monkeypatch):
+        # every line is parsed before the first cross-check
+        searched = []
+        monkeypatch.setattr(cli, "build_verified_section",
+                            lambda *args, **kwargs: searched.append(args))
         f = tmp_path / "in.jsonl"
         f.write_text('{"p": 5, "blocks": [{"n": 2, "r": 1}]}\nnot json\n')
-        res = runner.invoke(main, ["batch", str(f)])
+        res = runner.invoke(main, ["batch", str(f), "--with-oracle"])
         assert res.exit_code == EXIT_INVALID
+        assert res.stderr.startswith("line 2: JSONDecodeError: ")
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stdout == ""
+        assert searched == []
 
     def test_continue_processes_rest(self, runner, tmp_path):
         f = tmp_path / "in.jsonl"
@@ -524,6 +608,33 @@ class TestBatch:
         assert [r["line"] for r in rows] == [1, 2, 3]
         assert "error" in rows[0] and "error" in rows[2]
         assert rows[1]["outcome"] == "Splits"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_lines_past_the_parser_limits_are_error_rows(self, runner,
+                                                         tmp_path, workers):
+        good = json.dumps({"p": 5, "blocks": [{"n": 2, "r": 1}]})
+        f = tmp_path / "in.jsonl"
+        f.write_text("\n".join([good, TOO_DEEP, TOO_LONG, good]) + "\n")
+        res = runner.invoke(main, ["batch", str(f), "--with-oracle",
+                                   "--continue", "--workers", workers])
+        assert res.exit_code == EXIT_INVALID
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        errors = res.stderr.splitlines()
+        assert len(errors) == 2
+        for lineno, (line, (_, error)) in enumerate(
+                zip(errors, PARSER_LIMITS), 2):
+            assert line.startswith(f"line {lineno}: {error}")
+        rows = [json.loads(ln) for ln in res.stdout.splitlines()]
+        assert [r["line"] for r in rows] == [1, 2, 3, 4]
+        assert "error" in rows[1] and "error" in rows[2]
+        for row in (rows[0], rows[3]):
+            assert (row["outcome"], row["oracle"]) == ("Splits",
+                                                       "SectionVerified")
+        res = runner.invoke(main, ["batch", str(f), "--workers", workers])
+        assert res.exit_code == EXIT_INVALID
+        assert res.stderr.startswith(f"line 2: {PARSER_LIMITS[0][1]}")
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stdout == ""
 
     @pytest.mark.parametrize("extra", [[], ["--continue"]],
                              ids=["stop", "continue"])
@@ -557,11 +668,11 @@ class TestBatch:
     @pytest.mark.parametrize("line,module,name,stage", [
         (1, splitting, "complement_lift_search", "section"),
         (2, oracle, "order_p_coset_obstruction", "obstruction"),
-        (3, oracle, "complement_lift_search", "complement-search"),
-    ], ids=["section", "obstruction", "complement-search"])
+    ], ids=["section", "obstruction"])
     def test_cross_check_that_raises_is_an_error_row(
             self, runner, tmp_path, monkeypatch, line, module, name, stage):
-        # one line per cross-check stage: Splits, DoesNotSplit, Unknown
+        # one line per cross-check stage, Splits and DoesNotSplit, and an
+        # Unknown line, which has none
         specs = [{"p": 2, "blocks": [{"n": 2, "r": 2}]},
                  {"p": 5, "blocks": [{"n": 2, "r": 2}]},
                  {"p": 2, "blocks": [{"n": 1, "r": 1}, {"n": 2, "r": 4}]}]
@@ -594,6 +705,38 @@ class TestBatch:
         want[line - 1].update(oracle=None, agreement=None, error=error)
         want[line - 1].pop("note", None)
         assert rows == want
+
+    def test_unknown_rows_search_nothing(self, runner, tmp_path, monkeypatch):
+        # every Unknown spec with p in {2, 3}, up to 3 blocks, exponents and
+        # ranks up to 5 has a kernel array past KERNEL_BYTES, so no lift
+        # search could decide one, whatever --budget-elems allows
+        unknown = []
+        for p, k in itertools.product((2, 3), (1, 2, 3)):
+            for ns in itertools.combinations(range(1, 6), k):
+                for rs in itertools.product(range(1, 6), repeat=k):
+                    spec = validate_spec(p, list(zip(ns, rs)))
+                    if classify(spec).outcome == "Unknown":
+                        unknown.append(spec)
+                        assert (delta_order(spec) * spec.total_rank ** 2 * 8
+                                > oracle.KERNEL_BYTES)
+                        assert oracle.complement_lift_search(
+                            spec, delta_budget=10 ** 100
+                        ).outcome == "BudgetExceeded"
+        assert {s.p for s in unknown} == {2, 3}
+
+        def never(*args, **kwargs):
+            raise AssertionError("an Unknown row was searched")
+
+        monkeypatch.setattr(oracle, "complement_lift_search", never)
+        f = tmp_path / "in.jsonl"
+        _write_jsonl(f, [{"p": 2, "blocks": [{"n": 1, "r": 1},
+                                             {"n": 2, "r": 4}]}])
+        res = runner.invoke(main, ["batch", str(f), "--with-oracle",
+                                   "--budget-elems", str(10 ** 100)])
+        assert res.exit_code == 0
+        row = json.loads(res.stdout)
+        assert (row["outcome"], row["oracle"], row["note"]) == (
+            "Unknown", None, "classifier-only")
 
     def test_input_is_a_directory(self, runner, tmp_path):
         res = runner.invoke(main, ["batch", str(tmp_path)])
@@ -753,6 +896,15 @@ class TestCache:
         assert res.exit_code == EXIT_VERIFY_FAILED
         assert res.stdout == ("block-p2-n2-r2.json: FAILED (certificate is "
                               "not for block (p=2, n=2, r=2))\n")
+
+    def test_verify_fails_an_entry_nested_too_deeply(self, runner, tmp_path):
+        (tmp_path / "block-p2-n2-r2.json").write_text(TOO_DEEP)
+        res = runner.invoke(main, ["cache", "--cache-dir", str(tmp_path),
+                                   "verify"])
+        assert res.exit_code == EXIT_VERIFY_FAILED
+        assert res.stdout.startswith("block-p2-n2-r2.json: FAILED (maximum "
+                                     "recursion depth exceeded")
+        assert len(res.stdout.splitlines()) == 1
 
     def test_verify_bounds_the_quotient_before_any_graph(self, runner,
                                                          tmp_path,

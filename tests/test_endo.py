@@ -5,6 +5,7 @@ element; nothing here trusts the matrix formulas on their own.
 """
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -113,6 +114,24 @@ class TestStackKernel:
             assert mask == [w == lay.identity for w in want]
             masks += mask
         assert True in masks and False in masks
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_dtype_decided_without_squaring_a_huge_modulus(self, p):
+        # the rule that squares p^n - 1, on both sides of 2^63 and of 2^32
+        for D in range(1, 7):
+            sides = set()
+            for n in range(1, 70):
+                big = p ** n - 1
+                old = np.int64 if D * big ** 2 < 2 ** 63 else object
+                assert layout(validate_spec(p, [(n, D)])).dtype is old
+                sides.add((old, big < 2 ** 32))
+            assert {(np.int64, True), (object, False)} <= sides
+
+    def test_dtype_of_a_long_exponent_is_quick(self):
+        spec = validate_spec(2, [(10 ** 7, 1)])
+        start = time.monotonic()
+        assert layout(spec).dtype is object
+        assert time.monotonic() - start < 1
 
 
 class TestConstruction:

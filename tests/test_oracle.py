@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -712,6 +713,23 @@ class TestComplementSearch:
         assert result.outcome == "NotFound"
         assert result.evidence == "exhausted"
         assert result.assignments_tried > 0
+
+    def test_time_budget_counts_only_tested_assignments(self, monkeypatch):
+        # a clock that ticks once per reading: the search starts at 0 and
+        # reads 3 > 2.5 before the third assignment, which goes untested
+        ticks = itertools.count()
+        monkeypatch.setattr(oracle, "time",
+                            types.SimpleNamespace(monotonic=lambda: next(ticks)))
+        spec = validate_spec(5, [(2, 2)])
+        timed = complement_lift_search(spec, pre_obstruction=False,
+                                       time_budget=2.5)
+        assert (timed.outcome, timed.evidence) == ("BudgetExceeded",
+                                                   "time budget")
+        assert timed.assignments_tried == 2
+        counted = complement_lift_search(spec, pre_obstruction=False,
+                                         assignment_budget=2)
+        assert (counted.evidence, counted.assignments_tried) == (
+            "assignment budget", 2)
 
     def test_obstruction_prepass(self):
         spec = validate_spec(5, [(2, 2)])
