@@ -9,9 +9,11 @@ section construction takes, and a write that fails costs a warning on stderr.
 Loading an entry (`load_block`) and re-verifying the whole cache
 (`verify_all`, behind `cache verify`) go through one path: read the file,
 compare its stored spec with the block its name gives before anything is
-parsed, parse, and run the complete section proof (`verify_section`).  An
-entry that fails any step is a miss for a load: a one-line warning goes to
-stderr, and the caller searches the block again and rewrites the entry.
+parsed, parse, run the complete section proof (`verify_section`), and
+check that its generators are the block's fixed ones, which every spec
+shares (`oracle.find_generators_of_Q`).  An entry that fails any step is a
+miss for a load: a one-line warning goes to stderr, and the caller searches
+the block again and rewrites the entry.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from pathlib import Path
 
 from .errors import BAD_INPUT, AutSplitError, VerificationFailed
 from .groups import spec_to_json, validate_spec
+from .oracle import find_generators_of_Q
 from .splitting import SectionCertificate, VerificationReport, verify_section
 
 #: What reading, parsing or proving an untrusted cache file can raise.
@@ -37,7 +40,7 @@ def _load(path: Path) -> tuple[SectionCertificate, VerificationReport]:
     """The certificate at path and its fresh proof, for the block it names.
 
     Raises one of `_BAD_ENTRY` when the file cannot be read or parsed, or
-    holds no proved section of that block.
+    holds no proved section of that block on its fixed generators.
     """
     p, n, r = map(int, _ENTRY_NAME.fullmatch(path.name).groups())
     obj = json.loads(path.read_text(encoding="utf-8"))
@@ -48,7 +51,10 @@ def _load(path: Path) -> tuple[SectionCertificate, VerificationReport]:
         raise VerificationFailed(
             f"certificate is not for block (p={p}, n={n}, r={r})")
     cert = SectionCertificate.from_json(obj)
-    return cert, verify_section(cert)
+    report = verify_section(cert)  # which first bounds the block's size
+    if cert.generators != find_generators_of_Q(cert.spec):
+        raise VerificationFailed("generators are not the block's fixed ones")
+    return cert, report
 
 
 class CertificateCache:

@@ -167,13 +167,12 @@ def cmd_classify(prime, blocks, spec_file) -> None:
 @main.command("section")
 @_spec_options
 @click.option("--cache-dir", type=click.Path(), default=None)
-@click.option("--seed", type=int, default=0)
 @click.option("--budget-assignments", type=int,
               default=_oracle.DEFAULT_ASSIGNMENT_BUDGET)
 @click.option("-o", "--output", type=click.Path(), default=None,
               help="Also write the certificate JSON to this file.")
-def cmd_section(prime, blocks, spec_file, cache_dir, seed,
-                budget_assignments, output) -> None:
+def cmd_section(prime, blocks, spec_file, cache_dir, budget_assignments,
+                output) -> None:
     """Construct and verify an explicit section; print the certificate."""
     spec = _spec_from_options(prime, blocks, spec_file)
     verdict = classify(spec)
@@ -188,7 +187,7 @@ def cmd_section(prime, blocks, spec_file, cache_dir, seed,
         raise unprintable
     cache = CertificateCache(cache_dir) if cache_dir else None
     cert, report = build_verified_section(
-        spec, seed=seed, oracle_budget=budget_assignments, cache=cache)
+        spec, oracle_budget=budget_assignments, cache=cache)
     payload = cert.to_json()
     try:  # before -o is opened, so an unprintable one leaves no file
         text = json.dumps(payload, sort_keys=True)
@@ -250,18 +249,17 @@ def cmd_obstruction(prime, blocks, spec_file, budget_elems) -> None:
 
 @cmd_oracle.command("complement-search")
 @_spec_options
-@click.option("--seed", type=int, default=0)
 @click.option("--budget-assignments", type=int,
               default=_oracle.DEFAULT_ASSIGNMENT_BUDGET)
 @click.option("--budget-elems", type=int, default=DEFAULT_DELTA_BUDGET)
 @click.option("--pre-obstruction/--no-pre-obstruction", default=True,
               help="Run the cheap coset obstruction before searching.")
-def cmd_complement_search(prime, blocks, spec_file, seed, budget_assignments,
+def cmd_complement_search(prime, blocks, spec_file, budget_assignments,
                           budget_elems, pre_obstruction) -> None:
     """Exhaustive generator-lift search deciding splitting directly."""
     spec = _spec_from_options(prime, blocks, spec_file)
     result = _oracle.complement_lift_search(
-        spec, seed=seed, assignment_budget=budget_assignments,
+        spec, assignment_budget=budget_assignments,
         delta_budget=budget_elems, pre_obstruction=pre_obstruction)
     _echo_json(result.to_json())
     sys.exit(EXIT_BUDGET if result.outcome == "BudgetExceeded" else EXIT_OK)
@@ -269,15 +267,14 @@ def cmd_complement_search(prime, blocks, spec_file, seed, budget_assignments,
 
 # --- batch sweeps ---
 
-def _oracle_cross_check(spec: PGroupSpec, outcome: str, seed: int,
+def _oracle_cross_check(spec: PGroupSpec, outcome: str,
                         budget_assignments: int, budget_elems: int):
     """(oracle_verdict, agreement) for one spec; agreement None = classifier-only."""
     if outcome == "Splits":
         if pi_order(spec) > 5000:
             return None, None
         try:
-            build_verified_section(spec, seed=seed,
-                                   oracle_budget=budget_assignments)
+            build_verified_section(spec, oracle_budget=budget_assignments)
             return "SectionVerified", True
         except BudgetExceeded:
             return None, None
@@ -296,7 +293,7 @@ def _oracle_cross_check(spec: PGroupSpec, outcome: str, seed: int,
     return None, None
 
 
-def _batch_row(spec: PGroupSpec, lineno: int, with_oracle: bool, seed: int,
+def _batch_row(spec: PGroupSpec, lineno: int, with_oracle: bool,
                budget_assignments: int, budget_elems: int) -> dict:
     verdict = classify(spec)
     row = {
@@ -310,7 +307,7 @@ def _batch_row(spec: PGroupSpec, lineno: int, with_oracle: bool, seed: int,
     if with_oracle:
         try:
             oracle_verdict, agreement = _oracle_cross_check(
-                spec, verdict.outcome, seed, budget_assignments, budget_elems)
+                spec, verdict.outcome, budget_assignments, budget_elems)
         except Exception as exc:  # a bug signal; the other rows go on
             stage = "section" if verdict.outcome == "Splits" else "obstruction"
             row["error"] = f"{stage}: {type(exc).__name__}: {exc}"
@@ -325,7 +322,6 @@ def _batch_row(spec: PGroupSpec, lineno: int, with_oracle: bool, seed: int,
 @main.command("batch")
 @click.argument("input_file", type=click.Path(exists=True))
 @click.option("--with-oracle", is_flag=True, default=False)
-@click.option("--seed", type=int, default=0)
 @click.option("--budget-assignments", type=int, default=2 ** 16)
 @click.option("--budget-elems", type=int, default=DEFAULT_DELTA_BUDGET)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
@@ -336,8 +332,8 @@ def _batch_row(spec: PGroupSpec, lineno: int, with_oracle: bool, seed: int,
               help="Process rows in parallel, in at most as many processes "
                    "as there are lines and CPUs; output stays in input "
                    "order.")
-def cmd_batch(input_file, with_oracle, seed, budget_assignments, budget_elems,
-              fmt, continue_on_error, workers) -> None:
+def cmd_batch(input_file, with_oracle, budget_assignments, budget_elems, fmt,
+              continue_on_error, workers) -> None:
     """One verdict row per spec line of a JSONL file.
 
     A line that is not a valid spec is an error row and exits 2 (before any
@@ -361,7 +357,7 @@ def cmd_batch(input_file, with_oracle, seed, budget_assignments, budget_elems,
         specs = {}  # the first error row exits below, before any cross-check
 
     row_of = functools.partial(
-        _batch_row, with_oracle=with_oracle, seed=seed,
+        _batch_row, with_oracle=with_oracle,
         budget_assignments=budget_assignments, budget_elems=budget_elems)
     # a process pool starts all of its workers at the first submit
     workers = min(workers, len(specs), os.cpu_count() or 1)

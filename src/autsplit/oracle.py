@@ -14,10 +14,10 @@ each block graph's spanning tree, of that level by every generator, which
 fills in the next level and checks the level's edges, so an assignment
 that breaks a relation is dropped at the level where it breaks.  Kernel
 elements are inverted by their finite Neumann series (`_delta_inverses`).
-The generators of each GL_r(F_p) block are searched once per process and
-rank prefix, and each block's Cayley graph is walked once per process
-(`endo.gl_span`, a level-synchronous BFS on integer arrays).  Budgets are
-explicit and enumeration order is fixed, so every run is reproducible.
+Each GL_r(F_p) block has fixed generators (`gl_generators`), and its
+Cayley graph is walked once per process (`endo.gl_span`, a
+level-synchronous BFS on integer arrays).  Budgets are explicit and
+enumeration order is fixed, so every run is reproducible.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .endo import (
     bpow,
     endo_to_json,
     extend_by_blocks,
-    gl_span,
     identity_endo,
     is_automorphism,
     is_identity,
@@ -313,185 +312,57 @@ def bijective_equivalence_report(spec: PGroupSpec, samples: int = 10_000,
 
 # --- generators of the quotient product ---
 
-def _randbelow_words(p: int, rng: random.Random, words: int):
-    """The draws that `rng.randrange(p)` would make from the next `words`
-    32-bit words of `rng`'s stream, read with one `getrandbits` call.
+@lru_cache(maxsize=None)
+def gl_generators(p: int, r: int) -> tuple[mx.Matrix, ...]:
+    """The fixed generators of GL_r(F_p): none, one, or a pair.
 
-    CPython's `randrange(p)` takes k = p.bit_length() bits with
-    `getrandbits(k)`, which are the top k bits of the next word, and draws
-    again while they are >= p; `getrandbits(32 * words)` returns the next
-    words with the first in the lowest bits.  Returns (values, ends):
-    ends[i] counts the words taken up to and including values[i], so
-    `randrange(p)` called len(values) times leaves the stream where
-    `getrandbits(32 * ends[-1])` would.  Both are int64 arrays.
+    GL_1(F_p) is cyclic, generated by a primitive root omega.  For r >= 2
+    the pair is that of D. E. Taylor, "Pairs of generators for matrix
+    groups. I" (1987), as GAP uses it: a = diag(omega, 1, ..., 1) and c
+    with c[0][0] = -1, c[0][r-1] = 1, c[i][i-1] = -1 below the diagonal and
+    0 elsewhere.  For p = 2, a is the transvection I + E_12 instead and c
+    comes first.  That the pair generates GL_r(F_p), and that the first
+    generator's order is prime to p, rests on a finite check, made by the
+    tests with `gl_span` for every (p, r) with r >= 2 and |GL_r(F_p)| <=
+    2^20; every proof walks the generators' Cayley graph again.  The lift
+    search prefers a first generator of order prime to p: it prunes that
+    generator's whole candidate coset down to a few kernel-conjugacy
+    classes.
     """
-    assert p.bit_length() <= 32  # one word per try
-    stream = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-    tops = np.frombuffer(stream, dtype="<u4") >> (32 - p.bit_length())
-    ends = np.flatnonzero(tops < p)
-    return tops[ends].astype(np.int64), ends + 1
-
-
-def _invertible_draws(p: int, r: int, rng: random.Random):
-    """Yield (matrix, code, words) for each invertible r x r matrix that a
-    search drawing its entries row by row with `rng.randrange(p)`, and
-    drawing again when the matrix is singular, would hand out, in order.
-
-    code is the matrix's base-p code, and words counts the 32-bit words of
-    the stream taken up to its last entry.  The stream is read ahead in
-    chunks that start small and double up to 4096 words
-    (`_randbelow_words`), so `rng` is left past the last matrix handed
-    out: the caller puts it back.  Each distinct code is tested for
-    invertibility once.
-    """
-    rr = r * r
-    assert p ** rr < 2 ** 63  # codes fit in int64, as in `endo.gl_bfs`
-    weights = p ** np.arange(rr - 1, -1, -1, dtype=np.int64)
-    invertible: dict[int, mx.Matrix | None] = {}
-    values = ends = np.empty(0, dtype=np.int64)  # the unused tail
-    taken, chunk = 0, 8 * rr
-    while True:
-        more, more_ends = _randbelow_words(p, rng, chunk)
-        values = np.concatenate((values, more))
-        ends = np.concatenate((ends, more_ends + taken))
-        taken += chunk
-        chunk = min(2 * chunk, 1 << 12)
-        cut = len(values) - len(values) % rr
-        flat = values[:cut].reshape(-1, rr)
-        codes = (flat @ weights).tolist()
-        for i, (code, end) in enumerate(zip(codes, ends[rr - 1:cut:rr]
-                                            .tolist())):
-            if code not in invertible:
-                cand = tuple(map(tuple, flat[i].reshape(r, r).tolist()))
-                invertible[code] = (cand if mx.is_invertible_mod_p(cand, p)
-                                    else None)
-            m = invertible[code]
-            if m is not None:
-                yield m, code, end
-        values, ends = values[cut:], ends[cut:]
-
-
-def _gl_generators(p: int, r: int, rng: random.Random):
-    """Generators of GL_r(F_p): at most two, found by seeded random search,
-    falling back to transvections plus a primitive-root diagonal.
-
-    The search draws pairs of random invertible matrices, entries row by row
-    with `rng.randrange(p)`: first 400 pairs whose orders are coprime to p,
-    which the lift search prefers because it prunes their whole candidate
-    coset down to a few conjugacy classes, then 200 pairs of any order.
-    The draws come in bulk from the same stream (`_invertible_draws`), and
-    on every exit, a raise included, `rng` is put back where drawing the
-    same pairs one `randrange` at a time would leave it; so the
-    generators, and the state the next block draws from, are those of the
-    plain search.  A pair that commutes cannot generate, since GL_r(F_p) is
-    not abelian for r >= 2, so only a non-commuting pair has its generation
-    checked with `gl_span`, which keeps the Cayley graph of the winning set
-    for the proofs and searches that walk it later.  Orders, commutation
-    and generation are taken once per matrix or pair of matrices, and only
-    when a pair reaches them.  For GL_2(F_2), whose p'-elements all lie in
-    A_3, the search then walks one graph, the winner's.
-    """
-    target = gl_order(p, r)
-    if target == 1:
-        return []
+    if gl_order(p, r) == 1:
+        return ()
+    omega = primitive_root(p)
     if r == 1:
-        return [((primitive_root(p),),)]
-    saved = rng.getstate()
-    draws = _invertible_draws(p, r, rng)
-    used = 0  # the words up to the last matrix handed out
-    order_is_p_prime: dict[int, bool] = {}
-    generating: dict[tuple[int, int], bool] = {}
-
-    def draw():
-        nonlocal used
-        m, code, used = next(draws)
-        return m, code
-
-    def p_prime(drawn):
-        m, code = drawn
-        ok = order_is_p_prime.get(code)
-        if ok is None:
-            ok = order_is_p_prime[code] = (
-                q_order(QElement(p=p, mats=(m,))) % p != 0)
-        return ok
-
-    def generates(a, b):
-        key = (a[1], b[1])
-        ok = generating.get(key)
-        if ok is None:
-            ok = generating[key] = (
-                mx.mat_mul(a[0], b[0], p) != mx.mat_mul(b[0], a[0], p)
-                and gl_span(p, r, (a[0], b[0]))[1] is not None)
-        return ok
-
-    try:
-        for want_p_prime in (True, False):
-            for _ in range(400 if want_p_prime else 200):
-                a, b = draw(), draw()
-                if want_p_prime and not (p_prime(a) and p_prime(b)):
-                    continue
-                if generates(a, b):
-                    return [a[0], b[0]]
-    finally:
-        draws.close()
-        rng.setstate(saved)
-        rng.getrandbits(32 * used)
-    # fallback: all elementary transvections plus diag(zeta, 1, ..., 1)
-    ident = mx.identity(r)
-    gens = []
-    for i in range(r):
-        for j in range(r):
-            if i != j:
-                t = [list(row) for row in ident]
-                t[i][j] = 1
-                gens.append(tuple(tuple(row) for row in t))
-    d = [list(row) for row in ident]
-    d[0][0] = primitive_root(p)
-    gens.append(tuple(tuple(row) for row in d))
-    if gl_span(p, r, tuple(gens))[1] is None:
-        raise RuntimeError("fallback generators failed to generate")
-    return gens
+        return (((omega,),),)
+    a = [list(row) for row in mx.identity(r)]
+    if p == 2:
+        a[0][1] = 1
+    else:
+        a[0][0] = omega
+    c = [[0] * r for _ in range(r)]
+    c[0][0], c[0][r - 1] = p - 1, 1
+    for i in range(1, r):
+        c[i][i - 1] = p - 1
+    a, c = tuple(map(tuple, a)), tuple(map(tuple, c))
+    return (c, a) if p == 2 else (a, c)
 
 
 @lru_cache(maxsize=None)
-def _block_generators(p: int, seed: int, ranks: tuple[int, ...]):
-    """Per-block generators for the blocks of these ranks, and the state of
-    `random.Random(seed)` after drawing them.
-
-    `find_generators_of_Q` feeds every block from one generator, so block i
-    depends only on (p, seed, ranks[:i + 1]); the memo on that prefix makes
-    specs that share one draw the same generators without searching again.
-    """
-    if not ranks:
-        return (), random.Random(seed).getstate()
-    head, state = _block_generators(p, seed, ranks[:-1])
-    rng = random.Random()
-    rng.setstate(state)
-    gens = tuple(_gl_generators(p, ranks[-1], rng))
-    return head + (gens,), rng.getstate()
-
-
-@lru_cache(maxsize=None)
-def find_generators_of_Q(spec: PGroupSpec,
-                         seed: int = 0) -> tuple[QElement, ...]:
+def find_generators_of_Q(spec: PGroupSpec) -> tuple[QElement, ...]:
     """A generating set of the product of blockwise GL groups.
 
-    Per-block generators (generation checked by `gl_span`, at most two per
-    block for ranks >= 2) embedded with identity matrices elsewhere, block
-    by block.  All blocks draw from one `random.Random(seed)`, so block i's
-    generators depend on (p, seed, ranks[:i + 1]) only, not on the
-    exponents: `_block_generators` memoises them on that key, with the RNG
-    state after each block, and replays exactly the draws of one pass.
-    The result is cached per (spec, seed).  Raises BudgetExceeded past
-    DEFAULT_ELEMENT_BUDGET elements in a block.
+    Each block's fixed generators (`gl_generators`), embedded with identity
+    matrices elsewhere, block by block; so every spec with a block of rank r
+    gives it the generators of the one-block certificate of that rank.
+    Cached per spec.  Raises BudgetExceeded past DEFAULT_ELEMENT_BUDGET
+    elements in a block, which no proof walks.
     """
     if gl_order(spec.p, max(spec.ranks)) > DEFAULT_ELEMENT_BUDGET:
         raise BudgetExceeded("quotient too large to verify generators")
     idents = [mx.identity(r) for r in spec.ranks]
-    per_block, _ = _block_generators(spec.p, seed, spec.ranks)
     gens: list[QElement] = []
-    for i, block in enumerate(per_block):
-        for g in block:
+    for i, r in enumerate(spec.ranks):
+        for g in gl_generators(spec.p, r):
             mats = list(idents)
             mats[i] = g
             gens.append(QElement(p=spec.p, mats=tuple(mats)))
@@ -517,7 +388,6 @@ class SearchResult:
     generators: tuple[QElement, ...] = ()
     images: tuple[BlockEndo, ...] = ()
     assignments_tried: int = 0
-    seed: int = 0
 
     def to_json(self) -> dict:
         out = {
@@ -525,7 +395,6 @@ class SearchResult:
             "verdict": self.outcome,
             "evidence": self.evidence,
             "assignments_tried": self.assignments_tried,
-            "seed": self.seed,
         }
         if self.outcome == "Found":
             out["generators"] = [q_to_json(g) for g in self.generators]
@@ -570,6 +439,22 @@ def _delta_inverses(spec: PGroupSpec, deltas: np.ndarray) -> np.ndarray:
     return inverse
 
 
+def _coset_codes(spec: PGroupSpec, hs: np.ndarray) -> np.ndarray:
+    """The odometer index in Delta of each h of one coset lift(g) * Delta.
+
+    Entry (i, c) of h is digit * step plus, in a diagonal cell, g's entry
+    below p; so h // step gives the digits of `_free_entry_ranges`, and
+    with them the index of h's digits in the order of `enumerate_delta`.
+    The codes are int64 in [0, |Delta|), and they tell the coset's elements
+    apart.
+    """
+    rows, cols, steps, counts = map(np.array, zip(
+        *_free_entry_ranges(spec, kernel=True)))
+    weights = np.cumprod(np.append(1, counts[:0:-1]))[::-1]
+    digits = hs[:, rows, cols] // steps.astype(hs.dtype)
+    return (digits.astype(np.int64) * weights).sum(axis=1)
+
+
 def _lift_candidates(spec: PGroupSpec, gens: tuple[QElement, ...],
                      delta_budget: int) -> list[list[Rows]] | None:
     """Per generator g, the lifts of g that a section may choose, as rows.
@@ -579,10 +464,12 @@ def _lift_candidates(spec: PGroupSpec, gens: tuple[QElement, ...],
     has no such lift.  Both filters run batched, over Delta as one
     (N, D, D) array: the orbit of h is d^-1 * h * d for all d at once, with
     d^-1 the Neumann series of `_delta_inverses`, checked by d * d^-1 = 1.
-    Rows stay in the odometer order of `enumerate_delta`, so the candidates
-    are those of the element-by-element search.  The arithmetic is exact in
-    int64 while D * (p^n_R - 1)^2 < 2^63, and runs on Python ints
-    (dtype=object) past that bound.
+    The orbit stays in h's coset, so it is marked off by the coset codes
+    of its elements (`_coset_codes`).  Rows stay in the odometer order of
+    `enumerate_delta`, so the candidates are those of the
+    element-by-element search.  The arithmetic is exact in int64 while
+    D * (p^n_R - 1)^2 < 2^63, and runs on Python ints (dtype=object) past
+    that bound.
     """
     lay = layout(spec)
     deltas = _delta_array(spec, budget=delta_budget)
@@ -595,20 +482,21 @@ def _lift_candidates(spec: PGroupSpec, gens: tuple[QElement, ...],
         stacks.append(hs)
 
     delta_invs = _delta_inverses(spec, deltas)
-    reps0 = []
-    seen = set()
-    for h in stacks[0]:
-        if tuple(h.reshape(-1).tolist()) in seen:
-            continue
-        reps0.append(h)
-        orbit = bmul(lay, bmul(lay, delta_invs, h), deltas)
-        seen.update(map(tuple, orbit.reshape(len(orbit), -1).tolist()))
-    stacks[0] = reps0
-    return [[tuple(map(tuple, h.tolist())) for h in hs] for hs in stacks]
+    codes = _coset_codes(spec, stacks[0])
+    seen = np.zeros(len(deltas), dtype=bool)  # by coset code
+    unseen = np.ones(len(codes), dtype=bool)
+    reps = []
+    while unseen.any():
+        i = int(np.argmax(unseen))  # the first h in no orbit found so far
+        reps.append(i)
+        orbit = bmul(lay, bmul(lay, delta_invs, stacks[0][i]), deltas)
+        seen[_coset_codes(spec, orbit)] = True
+        unseen = ~seen[codes]
+    stacks[0] = stacks[0][reps]
+    return [[tuple(map(tuple, h)) for h in hs.tolist()] for hs in stacks]
 
 
 def complement_lift_search(spec: PGroupSpec,
-                           seed: int = 0,
                            assignment_budget: int = DEFAULT_ASSIGNMENT_BUDGET,
                            delta_budget: int = DEFAULT_DELTA_BUDGET,
                            pre_obstruction: bool = True,
@@ -630,9 +518,9 @@ def complement_lift_search(spec: PGroupSpec,
     blocks commute, and each block's images extend along every edge of its
     Cayley graph, one product per level of the graph's spanning tree.  An
     accepted assignment is checked on every edge; a rejected one stops at
-    the first level with an edge that disagrees.  The block graphs, taken
-    once before the loop, are those that `find_generators_of_Q` built to
-    check generation, so no search walks a group twice, and none walks Q.
+    the first level with an edge that disagrees.  The block graphs are
+    taken once before the loop, and once per process for each GL_r(F_p)
+    (`gl_span`), so no search walks a group twice, and none walks Q.
 
     A budget ends the search with a BudgetExceeded result whose evidence
     names it (`SearchResult`); the search raises none.
@@ -643,36 +531,34 @@ def complement_lift_search(spec: PGroupSpec,
     kernel element yields another complement); for each assignment the
     pairwise product orders are checked before the walk.  The pre-check
     stays: it costs a few products per assignment and rejects most of them
-    before any walk (on (Z/p^2)^2, 110 of 121 for p = 11 and all 25 for
+    before any walk (on (Z/p^2)^2, 110 of 121 for p = 11 and 20 of 25 for
     p = 5).
     """
     start = time.monotonic()
     if gl_order(spec.p, max(spec.ranks)) > DEFAULT_ELEMENT_BUDGET:
-        return SearchResult(spec, "BudgetExceeded", "quotient too large",
-                            seed=seed)
+        return SearchResult(spec, "BudgetExceeded", "quotient too large")
     try:
         _kernel_size(spec, delta_budget)
     except BudgetExceeded:
-        return SearchResult(spec, "BudgetExceeded", "kernel too large",
-                            seed=seed)
+        return SearchResult(spec, "BudgetExceeded", "kernel too large")
     # the scan needs ranks[0] >= 2, so the quotient is not trivial here
     if pre_obstruction and spec.ranks[0] >= 2:
         try:
             report = order_p_coset_obstruction(spec, budget=delta_budget)
             if report.verdict == "NoOrderPLift":
-                return SearchResult(spec, "NotFound", "obstruction", seed=seed)
+                return SearchResult(spec, "NotFound", "obstruction")
         except (RankTooSmall, BudgetExceeded):
             pass
 
-    gens = find_generators_of_Q(spec, seed=seed)
+    gens = find_generators_of_Q(spec)
     if not gens:  # trivial quotient: the identity is a complement
         return SearchResult(spec, "Found", "trivial quotient",
-                            generators=(), images=(), seed=seed)
+                            generators=(), images=())
 
     candidates = _lift_candidates(spec, gens, delta_budget)
     if candidates is None:
         return SearchResult(spec, "NotFound", "exhausted",
-                            assignments_tried=0, seed=seed)
+                            assignments_tried=0)
 
     # ord(xy) = ord(yx), so unordered pairs suffice for the pre-check
     pair_orders = {}
@@ -682,15 +568,17 @@ def complement_lift_search(spec: PGroupSpec,
 
     lay = layout(spec)
     moves, graphs = block_graphs(spec, [g.mats for g in gens])
+    if None in graphs:  # NotFound would prove nothing
+        raise RuntimeError("the fixed generators do not generate the quotient")
     tried = 0
     for assignment in itertools.product(*candidates):
         tried += 1
         if tried > assignment_budget:
             return SearchResult(spec, "BudgetExceeded", "assignment budget",
-                                assignments_tried=tried - 1, seed=seed)
+                                assignments_tried=tried - 1)
         if time_budget is not None and time.monotonic() - start > time_budget:
             return SearchResult(spec, "BudgetExceeded", "time budget",
-                                assignments_tried=tried - 1, seed=seed)
+                                assignments_tried=tried - 1)
         if any(pow_rows(mul_rows(assignment[i], assignment[j], lay.moduli),
                         o, lay) != lay.identity
                for (i, j), o in pair_orders.items()):
@@ -699,9 +587,9 @@ def complement_lift_search(spec: PGroupSpec,
             images = tuple(BlockEndo(spec=spec, rows=h) for h in assignment)
             return SearchResult(spec, "Found", "exhaustive lift search",
                                 generators=gens, images=images,
-                                assignments_tried=tried, seed=seed)
+                                assignments_tried=tried)
     return SearchResult(spec, "NotFound", "exhausted",
-                        assignments_tried=tried, seed=seed)
+                        assignments_tried=tried)
 
 
 # --- the order-p coset obstruction ---

@@ -12,20 +12,20 @@ p = 2, 3 whenever consecutive exponents differ by more than 1.  In the
 remaining p = 2, 3 tight-gap region no verdict is available and the
 classifier says so rather than extrapolate.
 
-Where a section exists we build it explicitly.  Each block's section is a
-map from GL_r(F_p) to the block's diagonal cell (`block_section`): the
-identity for elementary blocks, the multiplicative lift for rank-1 blocks,
-and a lookup in the proven table of a searched (or cached) certificate for
-the exceptional small-rank p = 2, 3 blocks.  The section of G is their
-block-diagonal sum: `build_verified_section` writes each block's image of
-each quotient generator into the rows of one `BlockEndo` and proves the
+Where a section exists we build it explicitly.  Each block has fixed
+generators of GL_r(F_p), the same in every spec, and its section is given
+by their images in the block's diagonal cell (`block_section`): the
+generators themselves for elementary blocks, their multiplicative lifts
+for rank-1 blocks, and the images of a searched (or cached) certificate
+for the exceptional small-rank p = 2, 3 blocks.  The section of G is their
+block-diagonal sum: `build_verified_section` writes each block's images
+into the rows of one `BlockEndo` per quotient generator and proves the
 certificate once, in full and block by block (`verify_section`).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -70,6 +70,7 @@ from .oracle import (
     DEFAULT_ASSIGNMENT_BUDGET,
     complement_lift_search,
     find_generators_of_Q,
+    gl_generators,
 )
 
 #: Largest rank for which a non-elementary block still splits.
@@ -158,39 +159,42 @@ def teichmuller_section(p: int, n: int):
 
 
 @lru_cache(maxsize=None)
-def _searched_block(spec: PGroupSpec, seed: int, assignment_budget: int):
+def _searched_block(spec: PGroupSpec, assignment_budget: int):
     """The lift search of a one-block spec, run once per process and key."""
     # the coset scan can only prove that a block does not split
-    return complement_lift_search(spec, seed=seed,
-                                  assignment_budget=assignment_budget,
+    return complement_lift_search(spec, assignment_budget=assignment_budget,
                                   pre_obstruction=False)
 
 
 def block_section(p: int, n: int, r: int,
                   oracle_budget: int = DEFAULT_ASSIGNMENT_BUDGET,
-                  seed: int = 0,
-                  cache=None) -> Callable[[Matrix], Matrix]:
-    """One block's verified section, as a map from GL_r(F_p) to its cell.
+                  cache=None) -> tuple[Matrix, ...]:
+    """One block's section, as its images of the block's fixed generators.
 
-    The map is the identity for exponent 1 and the multiplicative lift for
-    rank 1; otherwise it is a lookup in the proven table of the block's
-    certificate, loaded from the cache or searched for (and then stored).
-    A block is searched once per process, its certificate proved on every
-    call.  Matrices are canonical tuples of rows, as `QElement` holds them.
+    Every spec gives block (p, n, r) the generators of GL_r(F_p) that
+    `gl_generators` fixes, so these images are the block's diagonal cell in
+    the image of each of them.  They are the generators themselves for
+    exponent 1 and their multiplicative lifts for rank 1; otherwise they
+    are the images in the block's certificate, loaded from the cache (which
+    proves it) or searched for, once per process, and proved before it is
+    stored.  The certificate that holds the images is proved in full
+    (`build_verified_section`).  Each image is an r x r matrix, a canonical
+    tuple of rows over Z/p^n.
     """
     verdict = classify_block(p, n, r)
     if verdict.outcome != "Splits":
         raise NotSplitBlock(f"(p={p}, n={n}, r={r}) does not split")
+    gens = gl_generators(p, r)
     if n == 1:
-        return lambda m: m
+        return gens
     if r == 1:
         omega = teichmuller_section(p, n)
-        return lambda m: ((omega(m[0][0]),),)
+        return tuple(((omega(m[0][0]),),) for m in gens)
 
-    spec = validate_spec(p, [(n, r)])
     loaded = cache.load_block(p, n, r) if cache is not None else None
     if loaded is None:
-        result = _searched_block(spec, seed, oracle_budget)
+        spec = validate_spec(p, [(n, r)])
+        result = _searched_block(spec, oracle_budget)
         if result.outcome == "BudgetExceeded":
             raise BudgetExceeded(
                 f"section search for (p={p}, n={n}, r={r}) ran out of "
@@ -198,23 +202,15 @@ def block_section(p: int, n: int, r: int,
         if result.outcome != "Found":
             raise NotSplitBlock(
                 f"search found no section for (p={p}, n={n}, r={r})")
-        cert = SectionCertificate(
-            spec=spec,
-            generators=result.generators,
-            images=result.images,
-            verification={"mode": "unverified", "pairs": 0},
-        )
-        report = verify_section(cert)
+        images = result.images
         if cache is not None:
-            cache.store_block(
-                p, n, r, replace(cert, verification=report.to_json()))
+            cert = SectionCertificate(spec=spec, generators=result.generators,
+                                      images=images, verification={})
+            cache.store_block(p, n, r, replace(
+                cert, verification=verify_section(cert).to_json()))
     else:
-        cert, report = loaded
-    _, (graph,) = _block_graphs(cert)
-    keys = graph.elements.tolist()
-    cells = report.tables[0].tolist()
-    return {tuple(map(tuple, m)): tuple(map(tuple, c))
-            for m, c in zip(keys, cells)}.__getitem__
+        images = loaded[0].images
+    return tuple(img.rows for img in images)
 
 
 # --- certificates ---
@@ -410,32 +406,30 @@ def verify_section(cert: SectionCertificate, mode: str = "cayley-edges",
 
 
 def build_verified_section(spec: PGroupSpec, mode: str = "cayley-edges",
-                           seed: int = 0,
                            oracle_budget: int = DEFAULT_ASSIGNMENT_BUDGET,
                            cache=None,
                            ) -> tuple[SectionCertificate, VerificationReport]:
     """The block-diagonal section of spec, proved once as a whole.
 
-    Each generator of the quotient is lifted block by block through
-    `block_section`, its cells written straight into the rows of one
-    `BlockEndo` (zero off the diagonal); the certificate is then proved by
-    `verify_section`.
+    Each generator of the quotient moves one block, and `block_section`
+    gives that block's image of it, which goes straight into the block's
+    diagonal cell of an otherwise identity `BlockEndo`; the certificate is
+    then proved by `verify_section`.
     """
     verdict = classify(spec)
     if verdict.outcome != "Splits":
         raise NotSplitBlock(f"classifier verdict is {verdict.outcome}")
-    lifts = [block_section(spec.p, n, r, oracle_budget=oracle_budget,
-                           seed=seed, cache=cache)
-             for n, r in spec.blocks]
-    generators = find_generators_of_Q(spec, seed=seed)
-    offsets = layout(spec).offsets
+    generators = find_generators_of_Q(spec)
+    lay = layout(spec)
     D = spec.total_rank
     images = []
-    for q in generators:
-        rows = []
-        for lift, m, start, stop in zip(lifts, q.mats, offsets, offsets[1:]):
-            rows += [(0,) * start + row + (0,) * (D - stop) for row in lift(m)]
-        images.append(BlockEndo(spec=spec, rows=tuple(rows)))
+    for (n, r), start in zip(spec.blocks, lay.offsets):
+        for cell in block_section(spec.p, n, r, oracle_budget=oracle_budget,
+                                  cache=cache):
+            rows = list(lay.identity)
+            rows[start:start + r] = [(0,) * start + row + (0,) * (D - start - r)
+                                     for row in cell]
+            images.append(BlockEndo(spec=spec, rows=tuple(rows)))
     cert = SectionCertificate(spec=spec, generators=generators,
                               images=tuple(images),
                               verification={"mode": "unverified", "pairs": 0})

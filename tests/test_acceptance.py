@@ -66,7 +66,7 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 def sweep_runs():
     """The 50-spec batch sweep, run twice with the same seed."""
     runner = CliRunner()
-    args = ["batch", str(SWEEP50_PATH), "--with-oracle", "--seed", "0",
+    args = ["batch", str(SWEEP50_PATH), "--with-oracle",
             "--budget-elems", "4096", "--budget-assignments", "65536"]
     first = runner.invoke(cli_main, args)
     second = runner.invoke(cli_main, args)
@@ -141,7 +141,7 @@ def test_criterion_4_splitting_witnesses():
     verified = []
     for p, n, r in [(3, 2, 2), (2, 2, 2), (2, 2, 3)]:
         spec = validate_spec(p, [(n, r)])
-        result = complement_lift_search(spec, seed=0)
+        result = complement_lift_search(spec)
         assert result.outcome == "Found", (p, n, r)
         cert = SectionCertificate(
             spec=spec, generators=result.generators, images=result.images,
@@ -168,7 +168,7 @@ def test_criterion_5_non_splitting_verified(sweep_runs):
     spec = validate_spec(5, [(2, 2)])
     report = order_p_coset_obstruction(spec)
     assert report.verdict == "NoOrderPLift"
-    search = complement_lift_search(spec, seed=0, pre_obstruction=False)
+    search = complement_lift_search(spec, pre_obstruction=False)
     assert search.outcome == "NotFound"
     assert search.evidence == "exhausted"
     assert classify(spec).outcome == "DoesNotSplit"

@@ -152,15 +152,19 @@ def test_module_entry_point_reads_the_environment():
            if not k.startswith("AUTSPLIT_")}
 
     def section(*flags, **variables):
-        return subprocess.run(
+        res = subprocess.run(
             [sys.executable, "-m", "autsplit.cli", "section", "-p", "2",
-             "-b", "2:3", *flags], check=True, capture_output=True,
-            env={**env, "PYTHONPATH": src, **variables}).stdout
+             "-b", "2:3", *flags], capture_output=True,
+            env={**env, "PYTHONPATH": src, **variables})
+        return res.returncode, res.stdout
 
-    seeded = section("--seed", "5")
-    assert section(AUTSPLIT_SECTION_SEED="5") == seeded
-    assert section() != seeded
-    assert section("--seed", "0", AUTSPLIT_SECTION_SEED="5") == section()
+    # the search of (2; 2:3) tries 4 assignments
+    starved = section("--budget-assignments", "1")
+    assert starved == (EXIT_BUDGET, b"")
+    assert section(AUTSPLIT_SECTION_BUDGET_ASSIGNMENTS="1") == starved
+    assert section()[0] == 0
+    assert section("--budget-assignments", "65536",
+                   AUTSPLIT_SECTION_BUDGET_ASSIGNMENTS="1") == section()
 
 
 def test_cli_import_leaves_out_sympy():
@@ -176,6 +180,15 @@ def _tamper_first_image(text):
     """Change one entry mod p, so the image no longer reduces to its generator."""
     obj = json.loads(text)
     obj["images"][0]["cells"][0][0][0][0] += 1
+    return json.dumps(obj)
+
+
+def _swap_generators(text):
+    """Swap the two generators, and their images: still a proved section."""
+    obj = json.loads(text)
+    for key in ("generators", "images"):
+        obj[key].reverse()
+    assert verify_section(SectionCertificate.from_json(obj)).ok
     return json.dumps(obj)
 
 
@@ -251,8 +264,9 @@ class TestSection:
             validate_spec(2, [(1, 2)]))[0].to_json()),
         _float_entries,
         lambda text: TOO_DEEP,
+        _swap_generators,
     ], ids=["truncated", "not-json", "fails-proof", "other-block",
-            "float-entries", "too-deep"])
+            "float-entries", "too-deep", "other-generators"])
     def test_bad_cache_entry_is_a_miss(self, runner, tmp_path, corrupt):
         cache = tmp_path / "cache"
         args = ["section", "-p", "2", "-b", "2:2", "--cache-dir", str(cache)]
@@ -393,16 +407,17 @@ class TestSection:
 
 #: The section-cache benchmark's specs, with the md5 of the stdout of all
 #: 11 `section` calls on an empty and then on the filled cache directory, and
-#: of the cache files.  The cache bytes were recorded before the quotient
-#: graph was computed from the block graphs; the section bytes were
-#: re-recorded when proofs went block by block, which changed only the
-#: `pairs` of the multi-block specs.
+#: of the cache files.  The section bytes were re-recorded when proofs went
+#: block by block, which changed only the `pairs` of the multi-block specs;
+#: both were re-recorded when each GL_r(F_p) got fixed generators, which
+#: changed only the `generators` and `images` of certificates with a block
+#: of rank >= 2.
 PINNED_SPECS = ["-p 2 -b 2:2", "-p 2 -b 2:3", "-p 2 -b 3:2",
                 "-p 2 -b 1:2 -b 2:2", "-p 2 -b 2:2 -b 4:1",
                 "-p 2 -b 1:1 -b 2:3", "-p 2 -b 2:3 -b 4:1", "-p 3 -b 2:2",
                 "-p 3 -b 3:2", "-p 3 -b 2:2 -b 4:1", "-p 3 -b 1:1 -b 2:2"]
-PINNED_SECTION_MD5 = "c6a5c8385781df5cb071c07b8f5a2782"
-PINNED_CACHE_MD5 = "f65ec6ab555671838d04afdb7915a380"
+PINNED_SECTION_MD5 = "69a53946057f207b675ba76ae9136ffe"
+PINNED_CACHE_MD5 = "c8d2f435b915fa5a068fcf142e050f10"
 
 
 def test_certificate_bytes_are_pinned(runner, tmp_path):
@@ -428,9 +443,12 @@ def test_certificate_bytes_are_pinned(runner, tmp_path):
 #: rows with |Q| <= 5000, in file order.  The sweep bytes were recorded
 #: before the block sections became maps written straight into the
 #: certificate's rows; the section bytes were re-recorded when proofs went
-#: block by block, which changed only the `pairs` of the multi-block rows.
+#: block by block, which changed only the `pairs` of the multi-block rows,
+#: and when each GL_r(F_p) got fixed generators, which changed only the
+#: `generators` and `images` of the 12 rows with a block of rank >= 2
+#: (row 30 exits 3 before printing).
 PINNED_SWEEP_MD5 = "46ee9d6ac8442260b4628706940343ab"
-PINNED_SWEEP_SECTIONS_MD5 = "07dcec36a3d2ee9f83e928a5e4a4a351"
+PINNED_SWEEP_SECTIONS_MD5 = "f437986d00aa37e9037a50671acd2638"
 
 
 def test_sweep_bytes_are_pinned(runner):
@@ -769,8 +787,7 @@ class TestBatch:
             return bfs(p, r, mats, cap)
 
         monkeypatch.setattr(endo, "gl_bfs", counting)
-        for memo in (endo.gl_span, oracle.find_generators_of_Q,
-                     oracle._block_generators):
+        for memo in (endo.gl_span, oracle.find_generators_of_Q):
             memo.cache_clear()
         res = runner.invoke(main, ["batch", str(SWEEP50_PATH),
                                    "--with-oracle", "--budget-elems", "4096",
@@ -786,15 +803,15 @@ class TestBatch:
             assert all(mx.shape(g) == (r, r) for g in generators)
 
     def test_each_block_searched_once(self, runner, monkeypatch):
-        # rows that share a block share its search, once per seed and
-        # assignment budget; the proof of each row's section still runs
+        # rows that share a block share its search, once per assignment
+        # budget; the proof of each row's section still runs
         searched = Counter()
         search = oracle.complement_lift_search
 
-        def counting(spec, seed, assignment_budget, **kwargs):
-            searched[(spec, seed, assignment_budget)] += 1
-            return search(spec, seed=seed,
-                          assignment_budget=assignment_budget, **kwargs)
+        def counting(spec, assignment_budget, **kwargs):
+            searched[(spec, assignment_budget)] += 1
+            return search(spec, assignment_budget=assignment_budget,
+                          **kwargs)
 
         for module in (oracle, splitting):
             monkeypatch.setattr(module, "complement_lift_search", counting)
@@ -896,6 +913,19 @@ class TestCache:
         assert res.exit_code == EXIT_VERIFY_FAILED
         assert res.stdout == ("block-p2-n2-r2.json: FAILED (certificate is "
                               "not for block (p=2, n=2, r=2))\n")
+
+    def test_verify_fails_other_generators(self, runner, tmp_path):
+        cache = tmp_path / "cache"
+        res = runner.invoke(main, ["section", "-p", "3", "-b", "2:2",
+                                   "--cache-dir", str(cache)])
+        assert res.exit_code == 0
+        entry = cache / "block-p3-n2-r2.json"
+        entry.write_text(_swap_generators(entry.read_text()))
+        res = runner.invoke(main, ["cache", "--cache-dir", str(cache),
+                                   "verify"])
+        assert res.exit_code == EXIT_VERIFY_FAILED
+        assert res.stdout == ("block-p3-n2-r2.json: FAILED (generators are "
+                              "not the block's fixed ones)\n")
 
     def test_verify_fails_an_entry_nested_too_deeply(self, runner, tmp_path):
         (tmp_path / "block-p2-n2-r2.json").write_text(TOO_DEEP)

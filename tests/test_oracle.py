@@ -33,6 +33,7 @@ from autsplit.endo import (
     identity_q,
     in_delta,
     is_automorphism,
+    is_identity,
     layout,
     mul_rows,
     pow_endo,
@@ -49,6 +50,7 @@ from autsplit.errors import (
 )
 from autsplit.groups import (
     DEFAULT_DELTA_BUDGET,
+    DEFAULT_ELEMENT_BUDGET,
     aut_order,
     delta_order,
     delta_order_exponent,
@@ -58,14 +60,12 @@ from autsplit.groups import (
     validate_spec,
 )
 from autsplit.oracle import (
-    _block_generators,
+    _coset_codes,
     _delta_array,
     _delta_inverses,
     _diagonal_int_lift,
     _flat,
-    _gl_generators,
     _lift_candidates,
-    _randbelow_words,
     _transvection_perturbation,
     _unflat,
     bijective_equivalence_report,
@@ -77,6 +77,7 @@ from autsplit.oracle import (
     enumerate_delta,
     enumerate_endos,
     find_generators_of_Q,
+    gl_generators,
     order_p_coset_obstruction,
     random_delta_element,
     random_endo,
@@ -84,7 +85,6 @@ from autsplit.oracle import (
 )
 from autsplit.endo import apply, q_mul
 from autsplit.errors import PreconditionViolation
-from random_stream_facts import check_facts
 
 SPEC_Z2_Z4 = validate_spec(2, [(1, 1), (2, 1)])
 
@@ -200,6 +200,18 @@ class TestClosure:
             self.graph(self.GENS, cap=10)
 
 
+def _gl_shapes():
+    """Every (p, r) with r >= 2 and |GL_r(F_p)| within the element budget."""
+    shapes = []
+    for p in (q for q in itertools.count(2)
+              if all(q % d for d in range(2, q))):
+        if gl_order(p, 2) > DEFAULT_ELEMENT_BUDGET:
+            return shapes
+        shapes += [(p, r) for r in itertools.takewhile(
+            lambda r: gl_order(p, r) <= DEFAULT_ELEMENT_BUDGET,
+            itertools.count(2))]
+
+
 class TestGenerators:
     @pytest.mark.parametrize("spec", [
         validate_spec(3, [(2, 2)]),
@@ -207,7 +219,7 @@ class TestGenerators:
         validate_spec(5, [(1, 1), (2, 1)]),
     ], ids=lambda s: s.describe())
     def test_generate_whole_quotient(self, spec):
-        gens = find_generators_of_Q(spec, seed=0)
+        gens = find_generators_of_Q(spec)
         elems, _ = cayley_graph(gens, q_mul, identity_q(spec),
                                 cap=pi_order(spec))
         assert len(elems) == pi_order(spec)
@@ -215,119 +227,48 @@ class TestGenerators:
     def test_deterministic(self):
         # against the uncached function, so the cache cannot pass it alone
         spec = validate_spec(3, [(2, 2)])
-        assert (find_generators_of_Q(spec, seed=5)
-                == find_generators_of_Q.__wrapped__(spec, seed=5))
+        assert find_generators_of_Q(spec) == find_generators_of_Q.__wrapped__(
+            spec)
 
-    # specs that share rank prefixes, and so the memo of their blocks
-    MEMO_SPECS = [(2, [(2, 2)]), (2, [(3, 2)]), (2, [(1, 2), (2, 2)]),
-                  (2, [(1, 2), (3, 1)]), (2, [(2, 2), (4, 1)]),
-                  (2, [(1, 1), (2, 2)]), (3, [(1, 2), (2, 1), (3, 2)])]
+    def test_shapes_within_the_bound(self):
+        assert sorted(_gl_shapes()) == sorted(
+            [(p, 2) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
+            + [(2, 3), (2, 4), (3, 3)])
 
-    @staticmethod
-    def clear_memos():
-        find_generators_of_Q.cache_clear()
-        _block_generators.cache_clear()
-        gl_span.cache_clear()
+    @pytest.mark.parametrize("p,r", _gl_shapes())
+    def test_fixed_pair_generates(self, p, r):
+        # the uncached walk: GL_2(F_31) alone has 923,521 elements
+        pair = gl_generators(p, r)
+        assert len(pair) == 2
+        assert gl_span.__wrapped__(p, r, pair)[1] is not None
+        # the lift search prunes the first generator's coset to a few
+        # kernel-conjugacy classes when its order is prime to p
+        assert q_order(QElement(p=p, mats=pair[:1])) % p != 0
 
-    @staticmethod
-    def reference(spec, seed):
-        # one pass: a fresh generator fed block by block, no memo
-        rng = random.Random(seed)
-        gens = []
-        idents = [mx.identity(r) for r in spec.ranks]
-        for i, r in enumerate(spec.ranks):
-            for g in _gl_generators(spec.p, r, rng):
-                mats = list(idents)
-                mats[i] = g
-                gens.append(QElement(p=spec.p, mats=tuple(mats)))
-        return tuple(gens)
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 257])
+    def test_rank_one_and_trivial(self, p):
+        gens = gl_generators(p, 1)
+        if p == 2:
+            assert gens == ()
+        else:
+            (((g,),),) = gens
+            assert q_order(QElement(p=p, mats=(((g,),),))) == p - 1
 
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_memo_is_order_independent(self, seed):
-        specs = [validate_spec(p, blocks) for p, blocks in self.MEMO_SPECS]
-        self.clear_memos()
-        forward = [find_generators_of_Q(s, seed=seed) for s in specs]
-        self.clear_memos()
-        backward = [find_generators_of_Q(s, seed=seed)
-                    for s in reversed(specs)][::-1]
-        self.clear_memos()
-        expected = [self.reference(s, seed) for s in specs]
-        assert forward == backward == expected
-        assert all(expected)
+    # specs that share blocks of one rank, in other positions
+    SHARED_SPECS = [(2, [(2, 2)]), (2, [(3, 2)]), (2, [(1, 2), (2, 2)]),
+                    (2, [(1, 2), (3, 1)]), (2, [(2, 2), (4, 1)]),
+                    (2, [(1, 1), (2, 2)]), (3, [(1, 2), (2, 1), (3, 2)])]
 
-    @staticmethod
-    def plain_draw(p, r, rng):
-        # one invertible matrix, entries row by row, drawn again if singular
-        while True:
-            m = tuple(tuple(rng.randrange(p) for _ in range(r))
-                      for _ in range(r))
-            if mx.is_invertible_mod_p(m, p):
-                return m
+    def test_every_spec_gives_a_block_its_fixed_generators(self):
+        for p, blocks in self.SHARED_SPECS:
+            spec = validate_spec(p, blocks)
+            one = identity_q(spec).mats
+            want = [QElement(p=p, mats=one[:j] + (g,) + one[j + 1:])
+                    for j, r in enumerate(spec.ranks)
+                    for g in gl_generators(p, r)]
+            assert list(find_generators_of_Q(spec)) == want
 
-    @classmethod
-    def plain_search(cls, p, r, rng, span=gl_span):
-        # the search with every draw tested afresh and every pair walked;
-        # GL_r(F_p) for r >= 2 has no fallback within these (p, r)
-        for want_p_prime in (True, False):
-            for _ in range(400 if want_p_prime else 200):
-                pair = [cls.plain_draw(p, r, rng), cls.plain_draw(p, r, rng)]
-                if want_p_prime and any(
-                        q_order(QElement(p=p, mats=(m,))) % p == 0
-                        for m in pair):
-                    continue
-                if span(p, r, tuple(pair))[1] is not None:
-                    return pair
-        raise AssertionError("plain search fell through")
-
-    @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 4),
-                                     (3, 3), (7, 2), (11, 2), (13, 2)])
-    @pytest.mark.parametrize("seed", [0, 5, 17])
-    def test_search_draws_as_plain_search(self, p, r, seed, monkeypatch):
-        plain_rng, rng = random.Random(seed), random.Random(seed)
-        expected = self.plain_search(p, r, plain_rng)
-        calls = []
-        real_q_order = q_order
-
-        def counting_q_order(q):
-            calls.append(q.mats)
-            return real_q_order(q)
-        monkeypatch.setattr("autsplit.oracle.q_order", counting_q_order)
-        assert _gl_generators(p, r, rng) == expected
-        assert rng.getstate() == plain_rng.getstate()
-        # each drawn matrix has its order taken once: for GL_2(F_2) that
-        # is 6 orders for the 400 pairs of the p'-pass, which all fail
-        assert len(calls) == len(set(calls)) <= gl_order(p, r)
-
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31])
-    def test_decoded_stream_is_randrange(self, p):
-        rng = random.Random(p)
-        rng.random(), rng.randrange(1000), rng.getrandbits(7)  # mid-stream
-        start = rng.getstate()
-        values, ends = _randbelow_words(p, rng, 200)
-        plain = random.Random()
-        plain.setstate(start)
-        assert values.tolist() == [plain.randrange(p) for _ in values]
-        assert len(values) > 0 and ends[-1] <= 200
-        replay = random.Random()
-        replay.setstate(start)
-        replay.getrandbits(32 * int(ends[-1]))
-        assert replay.getstate() == plain.getstate()
-        # the chunk holds every draw that ends within its 200 words
-        replay.setstate(start)
-        longer, longer_ends = _randbelow_words(p, replay, 400)
-        assert longer[:len(values)].tolist() == values.tolist()
-        assert longer_ends[:len(ends)].tolist() == ends.tolist()
-        assert longer[len(values)] == plain.randrange(p)
-        assert longer_ends[len(ends)] > 200
-
-    def test_stream_facts_hold_here(self):
-        # the stdlib-only check that `_randbelow_words` rests on
-        assert check_facts() > 0
-
-    @pytest.mark.parametrize("seed", [0, 5, 17])
-    def test_gl_2_2_walks_one_graph(self, seed, monkeypatch):
-        # its p'-pairs all lie in the abelian A_3, so they are turned down
-        # without a walk, and so are the commuting pairs of the next pass
+    def test_generators_are_found_without_a_walk(self, monkeypatch):
         walks = []
         real_bfs = endo.gl_bfs
 
@@ -336,39 +277,9 @@ class TestGenerators:
             return real_bfs(p, r, mats, cap)
         monkeypatch.setattr(endo, "gl_bfs", counting_bfs)
         gl_span.cache_clear()
-        gens = _gl_generators(2, 2, random.Random(seed))
-        assert walks == [tuple(gens)]
-
-    def test_fallback_leaves_the_stream_after_1200_draws(self, monkeypatch):
-        real_span = gl_span
-
-        def no_pair_generates(p, r, mats):
-            return (0, None) if len(mats) == 2 else real_span(p, r, mats)
-        monkeypatch.setattr("autsplit.oracle.gl_span", no_pair_generates)
-        rng, plain = random.Random(3), random.Random(3)
-        gens = _gl_generators(3, 2, rng)
-        assert gens == [((1, 1), (0, 1)), ((1, 0), (1, 1)),
-                        ((2, 0), (0, 1))]
-        for _ in range(1200):
-            self.plain_draw(3, 2, plain)
-        assert rng.getstate() == plain.getstate()
-
-    @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (5, 2)])
-    def test_a_raise_leaves_the_stream_at_the_pair(self, p, r, monkeypatch):
-        # the walk of the winning pair raises: both searches stop there
-        winner = tuple(self.plain_search(p, r, random.Random(0)))
-
-        def span_raising_at_winner(p, r, mats):
-            if mats == winner:
-                raise Overflow("stop")
-            return gl_span(p, r, mats)
-        plain, rng = random.Random(0), random.Random(0)
-        with pytest.raises(Overflow):
-            self.plain_search(p, r, plain, span=span_raising_at_winner)
-        monkeypatch.setattr("autsplit.oracle.gl_span", span_raising_at_winner)
-        with pytest.raises(Overflow):
-            _gl_generators(p, r, rng)
-        assert rng.getstate() == plain.getstate()
+        for p, blocks in self.SHARED_SPECS:
+            find_generators_of_Q.__wrapped__(validate_spec(p, blocks))
+        assert walks == []
 
 
 class TestArrayBFS:
@@ -404,7 +315,7 @@ class TestArrayBFS:
     @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (5, 2),
                                      (11, 2)])
     def test_whole_group(self, p, r):
-        mats = tuple(_gl_generators(p, r, random.Random(0)))
+        mats = gl_generators(p, r)
         assert self.check(p, r, mats).size == gl_order(p, r)
         assert gl_span(p, r, mats)[1] is not None
 
@@ -428,7 +339,7 @@ class TestArrayBFS:
 
     @pytest.mark.parametrize("cap", [1, 10, 47])
     def test_overflow_at_the_cap(self, cap):
-        mats = tuple(_gl_generators(3, 2, random.Random(0)))
+        mats = gl_generators(3, 2)
         with pytest.raises(Overflow, match=f"cap {cap}"):
             self.reference(3, 2, mats, cap)
         with pytest.raises(Overflow, match=f"cap {cap}"):
@@ -662,6 +573,65 @@ class TestWalkCost:
             assert 0 < count[0] < graph.size * len(hs)
 
 
+class TestLiftCandidates:
+    """The kernel-conjugacy dedupe on coset codes, against one on tuples."""
+
+    # a transvection first: its order is p, so its coset keeps several
+    # conjugacy classes; and a layout of Python ints
+    CASES = [(3, [(2, 2)], True), (2, [(2, 3)], True),
+             (3, [(1, 1), (2, 2)], True), (2, [(2, 2)], False),
+             (55109, [(2, 1)], False)]
+
+    @staticmethod
+    def generators(spec, transvection):
+        gens = find_generators_of_Q(spec)
+        if not transvection:
+            return gens
+        mats = list(identity_q(spec).mats)
+        r = spec.ranks[-1]
+        mats[-1] = tuple(tuple(int(i == j or (i, j) == (0, 1))
+                               for j in range(r)) for i in range(r))
+        return (QElement(p=spec.p, mats=tuple(mats)),) + gens
+
+    @staticmethod
+    def lifts_of_order(spec, g, deltas):
+        lay = layout(spec)
+        hs = bmul(lay, _flat(_diagonal_int_lift(spec, g)), deltas)
+        return hs[is_identity(lay, bpow(lay, hs, q_order(g)))]
+
+    @pytest.mark.parametrize("p,blocks", [(p, b) for p, b, _ in CASES])
+    def test_codes_number_each_coset(self, p, blocks):
+        spec = validate_spec(p, blocks)
+        deltas = _delta_array(spec)
+        assert _coset_codes(spec, deltas).tolist() == list(range(len(deltas)))
+        for g in find_generators_of_Q(spec):
+            lay = layout(spec)
+            coset = bmul(lay, _flat(_diagonal_int_lift(spec, g)), deltas)
+            assert sorted(_coset_codes(spec, coset).tolist()) == list(
+                range(len(deltas)))
+
+    @pytest.mark.parametrize("p,blocks,transvection", CASES)
+    def test_dedupe_matches_tuples(self, p, blocks, transvection):
+        spec = validate_spec(p, blocks)
+        lay = layout(spec)
+        gens = self.generators(spec, transvection)
+        deltas = _delta_array(spec)
+        invs = _delta_inverses(spec, deltas)
+        reps, seen = [], set()
+        for h in self.lifts_of_order(spec, gens[0], deltas):
+            if tuple(h.reshape(-1).tolist()) in seen:
+                continue
+            reps.append(tuple(map(tuple, h.tolist())))
+            orbit = bmul(lay, bmul(lay, invs, h), deltas)
+            seen.update(map(tuple, orbit.reshape(len(orbit), -1).tolist()))
+        got = _lift_candidates(spec, gens, DEFAULT_DELTA_BUDGET)
+        assert got[0] == reps
+        assert (len(reps) > 1) == transvection
+        assert got[1:] == [[tuple(map(tuple, h)) for h in
+                            self.lifts_of_order(spec, g, deltas).tolist()]
+                           for g in gens[1:]]
+
+
 class TestDeltaInverses:
     """The Neumann inverse of kernel elements against Lagrange's
     d^(|Delta| - 1)."""
@@ -701,7 +671,7 @@ class TestDeltaInverses:
 class TestComplementSearch:
     def test_found_with_verified_images(self):
         spec = validate_spec(2, [(2, 2)])
-        result = complement_lift_search(spec, seed=0)
+        result = complement_lift_search(spec)
         assert result.outcome == "Found"
         for g, img in zip(result.generators, result.images):
             assert sigma(img) == g
@@ -709,7 +679,7 @@ class TestComplementSearch:
 
     def test_exhausted_not_found(self):
         spec = validate_spec(5, [(2, 2)])
-        result = complement_lift_search(spec, seed=0, pre_obstruction=False)
+        result = complement_lift_search(spec, pre_obstruction=False)
         assert result.outcome == "NotFound"
         assert result.evidence == "exhausted"
         assert result.assignments_tried > 0
@@ -733,7 +703,7 @@ class TestComplementSearch:
 
     def test_obstruction_prepass(self):
         spec = validate_spec(5, [(2, 2)])
-        result = complement_lift_search(spec, seed=0, pre_obstruction=True)
+        result = complement_lift_search(spec, pre_obstruction=True)
         assert result.outcome == "NotFound"
         assert result.evidence == "obstruction"
 
@@ -888,17 +858,18 @@ class TestBatchedKernel:
                 == _reference_obstruction(spec))
 
     # (outcome, evidence, assignments_tried, md5 of the result JSON),
-    # recorded from the per-element search
+    # recorded from the per-element search; the counts and digests were
+    # re-recorded for the fixed generators of `gl_generators`
     LIFT_PINS = {
-        (2, ((2, 2),)): ("Found", "exhaustive lift search", 2, "c7307a4d95e2"),
-        (2, ((2, 3),)): ("Found", "exhaustive lift search", 3, "6b00a36cdebb"),
-        (2, ((3, 2),)): ("Found", "exhaustive lift search", 4, "575325bed402"),
-        (3, ((2, 2),)): ("Found", "exhaustive lift search", 2, "0243964bb736"),
-        (3, ((3, 2),)): ("Found", "exhaustive lift search", 2, "787f4b5ede2a"),
+        (2, ((2, 2),)): ("Found", "exhaustive lift search", 2, "5e579ddbf564"),
+        (2, ((2, 3),)): ("Found", "exhaustive lift search", 4, "b93d2d2db20a"),
+        (2, ((3, 2),)): ("Found", "exhaustive lift search", 2, "71ccddaad0c2"),
+        (3, ((2, 2),)): ("Found", "exhaustive lift search", 4, "eb91244b6398"),
+        (3, ((3, 2),)): ("Found", "exhaustive lift search", 8, "2a9eab517d8b"),
         (2, ((1, 1), (2, 2))): ("Found", "exhaustive lift search", 2,
-                                "7cd03e0d93d1"),
-        (3, ((1, 1), (2, 2))): ("Found", "exhaustive lift search", 2,
-                                "6455bfeec1e2"),
+                                "0d4e0110b842"),
+        (3, ((1, 1), (2, 2))): ("Found", "exhaustive lift search", 4,
+                                "1ebb8802a1c3"),
     }
 
     @pytest.mark.parametrize("pre", [True, False])

@@ -23,7 +23,11 @@ from autsplit.endo import (
 )
 from autsplit.errors import NotSplitBlock, VerificationFailed
 from autsplit.groups import gl_order, pi_order, validate_spec
-from autsplit.oracle import random_delta_element
+from autsplit.oracle import (
+    find_generators_of_Q,
+    gl_generators,
+    random_delta_element,
+)
 from autsplit.splitting import (
     SectionCertificate,
     block_section,
@@ -139,24 +143,24 @@ class TestTeichmuller:
 
 class TestBlockSection:
     def test_trivial_kind(self):
-        s = block_section(3, 1, 4)
-        m = ((1, 2, 0, 0), (0, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1))
-        assert s(m) == m
+        assert block_section(3, 1, 4) == gl_generators(3, 4)
 
     def test_teichmuller_kind(self):
-        s = block_section(5, 2, 1)
-        assert s(((2,),)) == ((7,),)
+        assert gl_generators(5, 1) == (((2,),),)
+        assert block_section(5, 2, 1) == (((7,),),)
+        assert block_section(2, 5, 1) == ()  # GL_1(F_2) is trivial
 
     def test_table_kind_from_search(self):
-        s = block_section(3, 2, 2, seed=0)
-        p = 3
-        gl = [m for m in (((a, b), (c, d))
-                          for a, b, c, d in itertools.product(range(p),
-                                                              repeat=4))
-              if (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % p]
-        assert len(gl) == 48
-        for m in gl:
-            assert tuple(tuple(x % p for x in row) for row in s(m)) == m
+        spec = validate_spec(3, [(2, 2)])
+        gens = find_generators_of_Q(spec)
+        images = block_section(3, 2, 2)
+        assert [tuple(tuple(x % 3 for x in row) for row in h)
+                for h in images] == [g.mats[0] for g in gens]
+        cert = SectionCertificate(
+            spec=spec, generators=gens,
+            images=tuple(BlockEndo(spec=spec, rows=h) for h in images),
+            verification={})
+        assert verify_section(cert).ok
 
     def test_refuses_non_split_block(self):
         with pytest.raises(NotSplitBlock):
