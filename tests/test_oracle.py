@@ -268,6 +268,108 @@ class TestGenerators:
                     for g in gl_generators(p, r)]
             assert list(find_generators_of_Q(spec)) == want
 
+    @staticmethod
+    def plain_omega(p):
+        # the smallest unit of order p - 1, by listing its powers
+        return next(g for g in range(1, p)
+                    if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+
+    @classmethod
+    def plain_pair(cls, p, r):
+        # Taylor's pair written out entry by entry, apart from the code
+        if p == 2:
+            a = [[int(i == j or (i, j) == (0, 1)) for j in range(r)]
+                 for i in range(r)]
+        else:
+            a = [[cls.plain_omega(p) if i == j == 0 else int(i == j)
+                  for j in range(r)] for i in range(r)]
+        c = [[p - 1 if (i, j) == (0, 0) or i == j + 1
+              else int((i, j) == (0, r - 1)) for j in range(r)]
+             for i in range(r)]
+        a, c = tuple(map(tuple, a)), tuple(map(tuple, c))
+        return (c, a) if p == 2 else (a, c)
+
+    @classmethod
+    def plain_block_generators(cls, p, r):
+        if p == 2 and r == 1:
+            return ()
+        return (((cls.plain_omega(p),),),) if r == 1 else cls.plain_pair(p, r)
+
+    @classmethod
+    def reference(cls, spec):
+        # one pass: each block's plain generators, no memo
+        idents = [mx.identity(r) for r in spec.ranks]
+        gens = []
+        for i, r in enumerate(spec.ranks):
+            for g in cls.plain_block_generators(spec.p, r):
+                mats = list(idents)
+                mats[i] = g
+                gens.append(QElement(p=spec.p, mats=tuple(mats)))
+        return tuple(gens)
+
+    @staticmethod
+    def clear_memos():
+        find_generators_of_Q.cache_clear()
+        gl_generators.cache_clear()
+        gl_span.cache_clear()
+
+    @pytest.mark.parametrize("start", [0, 5])
+    def test_memo_is_order_independent(self, start):
+        # the specs taken from the start-th on, wrapping round, both ways
+        specs = [validate_spec(p, blocks) for p, blocks
+                 in self.SHARED_SPECS[start:] + self.SHARED_SPECS[:start]]
+        self.clear_memos()
+        forward = [find_generators_of_Q(s) for s in specs]
+        self.clear_memos()
+        backward = [find_generators_of_Q(s) for s in reversed(specs)][::-1]
+        self.clear_memos()
+        expected = [self.reference(s) for s in specs]
+        assert forward == backward == expected
+        assert all(expected)
+
+    @staticmethod
+    def plain_draw(p, r, rng):
+        # one invertible matrix, entries row by row, drawn again if singular
+        while True:
+            m = tuple(tuple(rng.randrange(p) for _ in range(r))
+                      for _ in range(r))
+            if mx.is_invertible_mod_p(m, p):
+                return m
+
+    @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 4),
+                                     (3, 3), (7, 2), (11, 2), (13, 2)])
+    @pytest.mark.parametrize("seed", [0, 5, 17])
+    def test_search_draws_as_plain_search(self, p, r, seed):
+        # the pair is the plain one, and its walk reaches a seeded plain draw
+        pair = gl_generators(p, r)
+        assert pair == self.plain_pair(p, r)
+        _, graph = gl_span(p, r, pair)
+        drawn = np.array(self.plain_draw(p, r, random.Random(seed)))
+        assert (graph.elements == drawn).all(axis=(1, 2)).sum() == 1
+
+    @pytest.mark.parametrize("seed", [0, 5, 17])
+    def test_gl_2_2_walks_one_graph(self, seed, monkeypatch):
+        # every spec with a rank-2 block over F_2, in any order, shares one
+        # walk of GL_2(F_2): the walk of the fixed pair
+        specs = [validate_spec(p, blocks) for p, blocks in self.SHARED_SPECS
+                 if p == 2]
+        random.Random(seed).shuffle(specs)
+        walks = []
+        real_bfs = endo.gl_bfs
+
+        def counting_bfs(p, r, mats, cap):
+            walks.append((p, r, mats))
+            return real_bfs(p, r, mats, cap)
+        monkeypatch.setattr(endo, "gl_bfs", counting_bfs)
+        gl_span.cache_clear()
+        for spec in specs:
+            assert 2 in spec.ranks
+            _, graphs = block_graphs(
+                spec, [g.mats for g in find_generators_of_Q(spec)])
+            assert all(g is not None for g in graphs)
+        assert [mats for p, r, mats in walks if (p, r) == (2, 2)] \
+            == [gl_generators(2, 2)]
+
     def test_generators_are_found_without_a_walk(self, monkeypatch):
         walks = []
         real_bfs = endo.gl_bfs
