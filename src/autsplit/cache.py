@@ -6,14 +6,17 @@ are never stored, and files with other names are not the cache's.  The cache
 is advisory: deleting it never changes verdicts, only how long the next
 section construction takes, and a write that fails costs a warning on stderr.
 
-Loading an entry (`load_block`) and re-verifying the whole cache
-(`verify_all`, behind `cache verify`) go through one path: read the file,
-compare its stored spec with the block its name gives before anything is
-parsed, parse, run the complete section proof (`verify_section`), and
-check that its generators are the block's fixed ones, which every spec
-shares (`oracle.find_generators_of_Q`).  An entry that fails any step is a
-miss for a load: a one-line warning goes to stderr, and the caller searches
-the block again and rewrites the entry.
+Loading an entry (`load_block`) reads the file, compares its stored spec
+with the block its name gives before anything is parsed, parses it, and
+checks that its generators are the block's fixed ones, which every spec
+shares (`oracle.find_generators_of_Q`).  It does not prove the entry: the
+entry's images go into a section whose certificate is proved as a whole
+(`splitting.build_verified_section`).  Only when that proof fails is each
+loaded entry proved alone (`recheck`), to find the one at fault.  An entry
+that fails a check is a miss: a one-line warning goes to stderr, and the
+caller searches the block again and rewrites the entry.  `verify_all`,
+behind `cache verify`, gives every entry the complete proof on its own
+(`verify_section`), and then the same generator check.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ import sys
 from pathlib import Path
 
 from .errors import BAD_INPUT, AutSplitError, VerificationFailed
-from .groups import spec_to_json, validate_spec
+from .groups import PGroupSpec, spec_to_json, validate_spec
 from .oracle import find_generators_of_Q
-from .splitting import SectionCertificate, VerificationReport, verify_section
+from .splitting import SectionCertificate, verify_section
 
 #: What reading, parsing or proving an untrusted cache file can raise.
 _BAD_ENTRY = (*BAD_INPUT, AutSplitError)
@@ -36,11 +39,11 @@ _BAD_ENTRY = (*BAD_INPUT, AutSplitError)
 _ENTRY_NAME = re.compile(r"block-p([1-9]\d*)-n([1-9]\d*)-r([1-9]\d*)\.json")
 
 
-def _load(path: Path) -> tuple[SectionCertificate, VerificationReport]:
-    """The certificate at path and its fresh proof, for the block it names.
+def _parse(path: Path) -> SectionCertificate:
+    """The certificate at path, unproved, if it is for the block it names.
 
     Raises one of `_BAD_ENTRY` when the file cannot be read or parsed, or
-    holds no proved section of that block on its fixed generators.
+    holds a certificate of another spec.
     """
     p, n, r = map(int, _ENTRY_NAME.fullmatch(path.name).groups())
     obj = json.loads(path.read_text(encoding="utf-8"))
@@ -50,35 +53,68 @@ def _load(path: Path) -> tuple[SectionCertificate, VerificationReport]:
             or obj.get("spec") != spec_to_json(validate_spec(p, [(n, r)]))):
         raise VerificationFailed(
             f"certificate is not for block (p={p}, n={n}, r={r})")
-    cert = SectionCertificate.from_json(obj)
-    report = verify_section(cert)  # which first bounds the block's size
+    return SectionCertificate.from_json(obj)
+
+
+def _check_generators(cert: SectionCertificate) -> None:
     if cert.generators != find_generators_of_Q(cert.spec):
         raise VerificationFailed("generators are not the block's fixed ones")
-    return cert, report
+
+
+def _warn_ignored(name: str, exc: Exception) -> None:
+    print(f"warning: ignoring cache entry {name}: "
+          f"{type(exc).__name__}: {exc}", file=sys.stderr)
 
 
 class CertificateCache:
     def __init__(self, directory):
         self.directory = Path(directory)
+        # the certificates `load_block` returned, and the blocks whose entry
+        # `recheck` found bad, which are misses until it is rewritten
+        self._loaded: dict[tuple[int, int, int], SectionCertificate] = {}
+        self._bad: set[tuple[int, int, int]] = set()
 
     def _block_path(self, p: int, n: int, r: int) -> Path:
         return self.directory / f"block-p{p}-n{n}-r{r}.json"
 
-    def load_block(self, p: int, n: int, r: int
-                   ) -> tuple[SectionCertificate, VerificationReport] | None:
-        """The cached certificate for block (p, n, r) and its fresh proof.
+    def load_block(self, p: int, n: int, r: int) -> SectionCertificate | None:
+        """The cached certificate for block (p, n, r), unproved.
 
-        None on a miss: no entry, or one that fails to read, parse or prove.
+        None on a miss: no entry, one that fails to read or parse, is for
+        another block or on other generators, or one that `recheck` found
+        bad and that has not been rewritten since.
         """
         path = self._block_path(p, n, r)
-        if not path.exists():
+        if (p, n, r) in self._bad or not path.exists():
             return None
         try:
-            return _load(path)
+            cert = _parse(path)
+            _check_generators(cert)
         except _BAD_ENTRY as exc:
-            print(f"warning: ignoring cache entry {path.name}: "
-                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            _warn_ignored(path.name, exc)
             return None
+        self._loaded[p, n, r] = cert
+        return cert
+
+    def recheck(self, spec: PGroupSpec) -> bool:
+        """Prove each entry loaded for a block of spec alone; True if one fails.
+
+        The section that holds the entries failed its proof.  A failing
+        entry gets the warning of a miss and is a miss until it is
+        rewritten; if none fails, the cache did not cause the failure.
+        """
+        failed = False
+        for n, r in spec.blocks:
+            cert = self._loaded.pop((spec.p, n, r), None)
+            if cert is None:
+                continue
+            try:
+                verify_section(cert)
+            except VerificationFailed as exc:
+                _warn_ignored(self._block_path(spec.p, n, r).name, exc)
+                self._bad.add((spec.p, n, r))
+                failed = True
+        return failed
 
     def store_block(self, p: int, n: int, r: int,
                     cert: SectionCertificate) -> Path | None:
@@ -100,6 +136,7 @@ class CertificateCache:
             print(f"warning: cannot write cache entry {path.name}: "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
             return None
+        self._bad.discard((p, n, r))
         return path
 
     def entries(self) -> list[Path]:
@@ -110,11 +147,17 @@ class CertificateCache:
                       if _ENTRY_NAME.fullmatch(path.name))
 
     def verify_all(self) -> list[tuple[str, bool, str]]:
-        """Load every entry as `load_block` does; (name, ok, detail) rows."""
+        """Prove every entry alone, in full; (name, ok, detail) rows.
+
+        The proof runs before the generator check, so an entry for a block
+        too large to walk fails on its size alone.
+        """
         rows = []
         for path in self.entries():
             try:
-                _, report = _load(path)
+                cert = _parse(path)
+                report = verify_section(cert)  # which first bounds its size
+                _check_generators(cert)
                 rows.append((path.name, True, f"{report.pairs_checked} edges"))
             except _BAD_ENTRY as exc:
                 rows.append((path.name, False, str(exc)))

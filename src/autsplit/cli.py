@@ -11,9 +11,12 @@ environment variable; flags win.
 
 Every section certificate that `section` prints, and every `batch` row that
 reports `SectionVerified`, has passed the complete Cayley-edge proof of
-`splitting.verify_section`.  The cache is advisory: an entry that cannot be
-read or proved is a miss, and one that cannot be written is skipped; both are
-reported on stderr, never an error.  A --spec-file or batch INPUT_FILE that
+`splitting.verify_section`.  A cached block is proved there, inside the
+section it goes into, and not again when it is loaded; `cache verify` proves
+each entry on its own.  The cache is advisory: an entry that cannot be read,
+is not on its block's fixed generators, or fails its own proof after the
+section's failed is a miss, and one that cannot be written is skipped; both
+are reported on stderr, never an error.  A --spec-file or batch INPUT_FILE that
 cannot be read as UTF-8, and an -o file that cannot be written, are invalid
 input.
 """

@@ -175,11 +175,12 @@ def block_section(p: int, n: int, r: int,
     `gl_generators` fixes, so these images are the block's diagonal cell in
     the image of each of them.  They are the generators themselves for
     exponent 1 and their multiplicative lifts for rank 1; otherwise they
-    are the images in the block's certificate, loaded from the cache (which
-    proves it) or searched for, once per process, and proved before it is
-    stored.  The certificate that holds the images is proved in full
-    (`build_verified_section`).  Each image is an r x r matrix, a canonical
-    tuple of rows over Z/p^n.
+    are the images in the block's certificate, loaded from the cache
+    (unproved: it is proved inside the section it goes into) or searched
+    for, once per process, and proved before it is stored.  The
+    certificate that holds the images is proved in full
+    (`build_verified_section`).  Each image is an r x r matrix, a
+    canonical tuple of rows over Z/p^n.
     """
     verdict = classify_block(p, n, r)
     if verdict.outcome != "Splits":
@@ -209,7 +210,7 @@ def block_section(p: int, n: int, r: int,
             cache.store_block(p, n, r, replace(
                 cert, verification=verify_section(cert).to_json()))
     else:
-        images = loaded[0].images
+        images = loaded.images
     return tuple(img.rows for img in images)
 
 
@@ -405,20 +406,9 @@ def verify_section(cert: SectionCertificate, mode: str = "cayley-edges",
     return VerificationReport(mode=mode, pairs_checked=pairs, ok=True)
 
 
-def build_verified_section(spec: PGroupSpec, mode: str = "cayley-edges",
-                           oracle_budget: int = DEFAULT_ASSIGNMENT_BUDGET,
-                           cache=None,
-                           ) -> tuple[SectionCertificate, VerificationReport]:
-    """The block-diagonal section of spec, proved once as a whole.
-
-    Each generator of the quotient moves one block, and `block_section`
-    gives that block's image of it, which goes straight into the block's
-    diagonal cell of an otherwise identity `BlockEndo`; the certificate is
-    then proved by `verify_section`.
-    """
-    verdict = classify(spec)
-    if verdict.outcome != "Splits":
-        raise NotSplitBlock(f"classifier verdict is {verdict.outcome}")
+def _section_certificate(spec: PGroupSpec, oracle_budget: int, cache
+                         ) -> SectionCertificate:
+    """The unproved block-diagonal certificate of spec."""
     generators = find_generators_of_Q(spec)
     lay = layout(spec)
     D = spec.total_rank
@@ -430,8 +420,35 @@ def build_verified_section(spec: PGroupSpec, mode: str = "cayley-edges",
             rows[start:start + r] = [(0,) * start + row + (0,) * (D - start - r)
                                      for row in cell]
             images.append(BlockEndo(spec=spec, rows=tuple(rows)))
-    cert = SectionCertificate(spec=spec, generators=generators,
+    return SectionCertificate(spec=spec, generators=generators,
                               images=tuple(images),
                               verification={"mode": "unverified", "pairs": 0})
-    report = verify_section(cert, mode=mode)
+
+
+def build_verified_section(spec: PGroupSpec, mode: str = "cayley-edges",
+                           oracle_budget: int = DEFAULT_ASSIGNMENT_BUDGET,
+                           cache=None,
+                           ) -> tuple[SectionCertificate, VerificationReport]:
+    """The block-diagonal section of spec, proved once as a whole.
+
+    Each generator of the quotient moves one block, and `block_section`
+    gives that block's image of it, which goes straight into the block's
+    diagonal cell of an otherwise identity `BlockEndo`; the certificate is
+    then proved by `verify_section`.  Cached blocks are proved only there.
+    If that proof fails, the cache proves each entry it gave alone
+    (`CertificateCache.recheck`); when one fails, it is a miss, and the
+    section is built and proved once more, searching that block again.
+    When none fails, the cache did not cause the failure, which is raised.
+    """
+    verdict = classify(spec)
+    if verdict.outcome != "Splits":
+        raise NotSplitBlock(f"classifier verdict is {verdict.outcome}")
+    cert = _section_certificate(spec, oracle_budget, cache)
+    try:
+        report = verify_section(cert, mode=mode)
+    except VerificationFailed:
+        if cache is None or not cache.recheck(spec):
+            raise
+        cert = _section_certificate(spec, oracle_budget, cache)
+        report = verify_section(cert, mode=mode)
     return replace(cert, verification=report.to_json()), report

@@ -268,22 +268,32 @@ class TestSection:
     ], ids=["truncated", "not-json", "fails-proof", "other-block",
             "float-entries", "too-deep", "other-generators"])
     def test_bad_cache_entry_is_a_miss(self, runner, tmp_path, corrupt):
-        cache = tmp_path / "cache"
-        args = ["section", "-p", "2", "-b", "2:2", "--cache-dir", str(cache)]
-        assert runner.invoke(main, args).exit_code == 0
-        entry = cache / "block-p2-n2-r2.json"
-        good = entry.read_text()
-        bad = corrupt(good)
-        assert bad != good
-        entry.write_text(bad)
-        res = runner.invoke(main, args)
-        assert res.exit_code == 0
-        assert res.stderr.count("warning: ignoring cache entry") == 1
-        assert entry.read_text() == good  # rewritten, with int entries
-        cert = SectionCertificate.from_json(json.loads(entry.read_text()))
-        assert cert.spec == validate_spec(2, [(2, 2)])
-        assert verify_section(cert).ok
-        assert [p.name for p in cache.iterdir()] == [entry.name]
+        # alone, and inside a section of two blocks that holds the entry,
+        # where an entry that loads is proved only with the whole section
+        for blocks in (["-b", "2:2"], ["-b", "1:2", "-b", "2:2"]):
+            cache = tmp_path / f"cache{len(blocks)}"
+            args = ["section", "-p", "2", *blocks]
+            clean = runner.invoke(main, args)
+            assert clean.exit_code == 0
+            args += ["--cache-dir", str(cache)]
+            assert runner.invoke(main, args).exit_code == 0
+            entry = cache / "block-p2-n2-r2.json"
+            good = entry.read_text()
+            bad = corrupt(good)
+            assert bad != good
+            entry.write_text(bad)
+            res = runner.invoke(main, args)
+            assert res.exit_code == 0
+            warning, *log = res.stderr.splitlines()
+            assert warning.startswith(
+                "warning: ignoring cache entry block-p2-n2-r2.json: ")
+            assert log == clean.stderr.splitlines()
+            assert res.stdout == clean.stdout
+            assert entry.read_text() == good  # rewritten, with int entries
+            cert = SectionCertificate.from_json(json.loads(entry.read_text()))
+            assert cert.spec == validate_spec(2, [(2, 2)])
+            assert verify_section(cert).ok
+            assert [p.name for p in cache.iterdir()] == [entry.name]
 
 
     def test_cache_write_error_is_a_warning(self, runner, tmp_path):
@@ -958,3 +968,78 @@ class TestCache:
             f"block-p101-n2-r3.json: FAILED (a block of the quotient has "
             f"{gl_order(101, 3)} elements, more than the 1048576 a proof "
             f"may walk)\n")
+
+    @staticmethod
+    def _count_proofs(monkeypatch) -> list:
+        """The spec of each `verify_section` call, from either module."""
+        specs = []
+        real = splitting.verify_section
+
+        def counted(cert, *args, **kwargs):
+            specs.append(cert.spec)
+            return real(cert, *args, **kwargs)
+
+        monkeypatch.setattr(splitting, "verify_section", counted)
+        monkeypatch.setattr(autsplit.cache, "verify_section", counted)
+        return specs
+
+    def test_one_proof_per_section_on_a_filled_cache(self, runner, tmp_path,
+                                                     monkeypatch):
+        # a cached block is proved inside its section, not again at load
+        cache = tmp_path / "cache"
+        for args in PINNED_SPECS:
+            assert runner.invoke(main, ["section", "--cache-dir", str(cache),
+                                        *args.split()]).exit_code == 0
+        specs = self._count_proofs(monkeypatch)
+        for args in PINNED_SPECS:
+            specs.clear()
+            res = runner.invoke(main, ["section", "--cache-dir", str(cache),
+                                       *args.split()])
+            assert res.exit_code == 0
+            assert "warning" not in res.stderr
+            assert len(specs) == 1, args
+
+    def test_verify_proves_each_entry_once(self, runner, tmp_path,
+                                           monkeypatch):
+        cache = tmp_path / "cache"
+        for args in PINNED_SPECS:
+            assert runner.invoke(main, ["section", "--cache-dir", str(cache),
+                                        *args.split()]).exit_code == 0
+        entries = CertificateCache(cache).entries()
+        specs = self._count_proofs(monkeypatch)
+        res = runner.invoke(main, ["cache", "--cache-dir", str(cache),
+                                   "verify"])
+        assert res.exit_code == 0
+        assert len(res.stdout.splitlines()) == len(entries) == 5
+        assert sorted(f"block-p{s.p}-n{s.exponents[0]}-r{s.ranks[0]}.json"
+                      for s in specs) == [path.name for path in entries]
+
+    @pytest.mark.parametrize("filled", [False, True], ids=["cold", "filled"])
+    def test_failure_the_cache_did_not_cause_exits_4(self, runner, tmp_path,
+                                                     monkeypatch, filled):
+        # each entry proves alone, but the section of two blocks fails: the
+        # recheck blames no entry, and the failure is raised, not retried
+        args = ["section", "-p", "2", "-b", "1:2", "-b", "2:2",
+                "--cache-dir", str(tmp_path)]
+        if filled:
+            assert runner.invoke(main, args).exit_code == 0
+        real = splitting.extend_by_blocks
+
+        def fails_on_two_blocks(moves, graphs, images, lay):
+            return None if len(graphs) > 1 else real(moves, graphs, images,
+                                                     lay)
+
+        built = []
+        real_block = splitting.block_section
+
+        def counted(p, n, r, **kwargs):
+            built.append((p, n, r))
+            return real_block(p, n, r, **kwargs)
+
+        monkeypatch.setattr(splitting, "extend_by_blocks", fails_on_two_blocks)
+        monkeypatch.setattr(splitting, "block_section", counted)
+        res = runner.invoke(main, args)
+        assert res.exit_code == EXIT_VERIFY_FAILED
+        assert res.stderr == ("verification failed (bug signal): generator "
+                              "images are inconsistent\n")
+        assert built.count((2, 2, 2)) <= 2

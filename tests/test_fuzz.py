@@ -2,7 +2,8 @@
 
 A spec or a certificate read from outside the program either parses into
 values of the right types or raises an AutSplitError; a bad cache file is a
-miss with one warning.  Runs are derandomized, so every run draws the same
+miss with one warning, when it is loaded or when the section it goes into
+fails its proof.  Runs are derandomized, so every run draws the same
 inputs.
 """
 
@@ -113,26 +114,42 @@ def test_mutated_certificate_raises_or_holds_ints(data):
     assert _all_ints([img["cells"] for img in out["images"]])
 
 
+WARNING = "warning: ignoring cache entry block-p2-n2-r2.json: "
+
+
 @FUZZ
 @given(st.data())
 def test_load_block_of_a_mutated_file_is_a_miss_or_proven(data):
+    # a load does not prove the entry, the section it goes into does: a
+    # mutated entry is a miss at load, or the section built on it is proved,
+    # with at most one warning, and leaves a proven entry on disk
     text = json.dumps(_mutated(data, BLOCK_CERT))
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as directory:
-        (Path(directory) / "block-p2-n2-r2.json").write_text(text)
+        entry = Path(directory) / "block-p2-n2-r2.json"
+        entry.write_text(text)
+        cache = CertificateCache(directory)
         with redirect_stderr(err):
-            got = CertificateCache(directory).load_block(2, 2, 2)
-    if got is None:
+            got = cache.load_block(2, 2, 2)
+        if got is None:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith(WARNING)
+            return
+        assert err.getvalue() == ""
+        out = got.to_json()
+        assert _all_ints(out["generators"])
+        assert _all_ints([img["cells"] for img in out["images"]])
+        assert got.spec == BLOCK
+        with redirect_stderr(err):
+            cert, report = build_verified_section(BLOCK, cache=cache)
         lines = err.getvalue().splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith(
-            "warning: ignoring cache entry block-p2-n2-r2.json: ")
-        return
-    assert err.getvalue() == ""
-    cert, report = got
-    out = cert.to_json()
-    assert _all_ints(out["generators"])
-    assert _all_ints([img["cells"] for img in out["images"]])
-    assert cert.spec == BLOCK
-    assert report.ok
-    assert report.pairs_checked == pi_order(BLOCK) * len(cert.generators)
+        assert len(lines) <= 1
+        assert all(line.startswith(WARNING) for line in lines)
+        assert report.ok
+        assert report.pairs_checked == pi_order(BLOCK) * len(cert.generators)
+        assert verify_section(cert).ok
+        assert CertificateCache(directory).verify_all() == [
+            (entry.name, True, f"{report.pairs_checked} edges")]
+        stored = SectionCertificate.from_json(json.loads(entry.read_text()))
+        assert stored.images == cert.images
